@@ -100,6 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
         "compare",
         parents=[dist, deterministic, output],
         help="direct versus boundary-expansion bracket on one distribution",
+        description=(
+            "Direct versus boundary-expansion bracket on one distribution. Each row's "
+            "distribution_evaluations counts the closed-form inner-integral I(u) "
+            "evaluations its engine made; evaluation_ratio is direct's count over "
+            "the expansion's."
+        ),
     )
 
     p = sub.add_parser(

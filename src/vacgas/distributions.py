@@ -204,13 +204,15 @@ def check_cutoff_compliance(spec: DistributionSpec, epsilon: float = 0.01) -> Co
     decay_u = np.linspace(2.0 * lam, 10.0 * lam, _PROBES_PER_INTERVAL)
 
     def probe(us):
-        vals = []
-        for u in us:
-            try:
-                vals.append(float(eval_f(spec, float(u))))
-            except SingularityError:
-                vals.append(float("nan"))
-        return np.array(vals)
+        # One vector evaluation; Bose-Einstein pole points (eval_f's own
+        # expm1 == 0 test) are recorded as NaN instead of raising.
+        if spec.family is not Family.BOSE_EINSTEIN:
+            return eval_f(spec, us)
+        with np.errstate(over="ignore"):
+            pole = np.expm1(spec.sharpness * (us - lam)) == 0.0
+        vals = np.full(us.shape, np.nan)
+        vals[~pole] = eval_f(spec, us[~pole])
+        return vals
 
     plateau_f = probe(plateau_u)
     decay_f = probe(decay_u)

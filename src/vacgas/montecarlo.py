@@ -205,9 +205,9 @@ def bracket_monte_carlo(
 ) -> BracketResult:
     """Hybrid bracket: exact mode series minus the sampled integral (4/pi) J.
 
-    The series piece is deterministic quadrature; only the integral piece
-    carries sampling noise, so the error estimate is dominated by
-    (4/pi) * SE(J). At usable cutoffs that noise dwarfs the bracket itself;
+    The series piece is the deterministic closed-form mode sum; only the
+    integral piece carries sampling noise, so the error estimate is dominated
+    by (4/pi) * SE(J). At usable cutoffs that noise dwarfs the bracket itself;
     this estimator exists as a consistency check, not a precision tool.
     """
     config = McConfig(spec=spec, samples=samples, seed=seed, stream_count=stream_count)

@@ -1,8 +1,9 @@
-"""Adaptive quadrature wrapper used by the reduction and summation modules.
+"""Adaptive quadrature wrapper used by bracket_direct's integral piece.
 
 Thin layer over scipy's QUADPACK bindings: relative-tolerance interface,
 optional interior break points, evaluation counting, and a uniform error
-policy (ConvergenceError when the estimate cannot be trusted).
+policy (ConvergenceError when the estimate cannot be trusted). scipy is
+imported on the first call, so importing vacgas does not load it.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-from scipy import integrate as _scipy_integrate
 
 from .errors import ConvergenceError
 
@@ -42,11 +41,13 @@ def integrate(
     warning is tolerated when the reported error still meets a loose multiple
     of the request; otherwise ConvergenceError.
     """
+    from scipy import integrate as scipy_integrate
+
     if points:
         pts = sorted(p for p in points if a < p < b)
     else:
         pts = None
-    out = _scipy_integrate.quad(
+    out = scipy_integrate.quad(
         func,
         a,
         b,

@@ -7,113 +7,89 @@ integral collapses by the substitution t = sqrt(x + u^2) (dx = 2 t dt):
 
 and the one-dimensional summand/integrand of the two-plate comparison is
 F(u) = u^2 I(u). Everything here is dimensionless.
+
+Every occupancy family integrates in closed form:
+
+    Fermi-Dirac        I(u) = (2/b) softplus(b (lambda - u))
+    Maxwell-Boltzmann  I(u) = (2/b) exp(b (lambda - u))
+    sharp step         I(u) = 2 (lambda - u)_+
+    Bose-Einstein      I(u) = -(2/b) log(1 - exp(-b (u - lambda))),  u > lambda
+
+The smooth formulas extend analytically to u < 0, which the boundary
+derivative stencils rely on. Below the cutoff the Fermi-Dirac and sharp
+forms are split as 2 (lambda - u) plus a tail, and F is assembled as
+2 lambda u^2 + u^2 (tail(u) - 2 u). The first term is bitwise even in u, so
+it and its rounding cancel exactly in the antisymmetric boundary stencils;
+at cutoffs of 10^4 and more only the final addition's rounding remains.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from . import quadrature
-from .constants import PlateGeometry
 from .distributions import DistributionSpec, Family
 from .errors import DomainError, SingularityError
 
 __all__ = [
-    "ModeGrid",
     "ReducedIntegrand",
     "reduce_distribution",
     "inner_integral",
     "reduced_big_f",
-    "mode_density_factor",
 ]
 
 # f is treated as negligible 50/sharpness past the cutoff: exp(-50) ~ 2e-22.
 _TAIL_DECADES = 50.0
 # Half-width of the exclusion window around the Bose-Einstein pole.
 _POLE_WINDOW = 1e-6
-
-_EXP_CLAMP = 700.0
-
-_MODE_DENSITY = 1.0 / math.pi**3
+# math.exp overflows just above this.
+_EXP_MAX = 709.0
 
 
-@dataclass(frozen=True)
-class ModeGrid:
-    """Standing-wave mode ladder between the plates."""
+def _inner_parts(spec: DistributionSpec, u: float) -> tuple[bool, float]:
+    """Closed-form I(u) = 2 int_u^inf f(t) dt, split as (linear, tail).
 
-    geometry: PlateGeometry
-
-    @property
-    def mode_spacing(self) -> tuple[float, float, float]:
-        """Spacing (dk_x, dk_y, dk_z) of admissible wavevectors, in 1/m."""
-        g = self.geometry
-        return (math.pi / g.lateral_size_l, math.pi / g.lateral_size_l, math.pi / g.separation_d)
-
-
-def mode_density_factor(grid: ModeGrid | None = None) -> float:
-    """Density of octant modes per dimensionless k-space volume: 1/pi^3.
-
-    Geometry independent; the grid argument documents provenance only.
-    """
-    return _MODE_DENSITY
-
-
-def _scalar_f(spec: DistributionSpec) -> Callable[[float], float]:
-    """Fast scalar occupancy closure for quadrature callbacks.
-
-    Defined for all real t (the smooth formulas extend analytically left of
-    zero, which boundary derivative stencils rely on).
+    I(u) = 2 (lambda - u) + tail when linear is true (Fermi-Dirac and sharp
+    below the cutoff), I(u) = tail otherwise. Raises SingularityError inside
+    the Bose-Einstein pole window (u < lambda + _POLE_WINDOW), where the
+    defining integral diverges.
     """
     lam = spec.cutoff
     fam = spec.family
     if fam is Family.SHARP_CUTOFF:
-        def f(t: float) -> float:
-            if t < lam:
-                return 1.0
-            return 0.0 if t > lam else 0.5
-        return f
+        return u < lam, 0.0
     b = spec.sharpness
     if fam is Family.FERMI_DIRAC:
-        def f(t: float) -> float:
-            z = b * (t - lam)
-            if z >= 0.0:
-                e = math.exp(-z) if z < _EXP_CLAMP else 0.0
-                return e / (1.0 + e)
-            return 1.0 / (1.0 + math.exp(z))
-        return f
+        # softplus(z) = max(z, 0) + log1p(exp(-|z|))
+        return u < lam, (2.0 / b) * math.log1p(math.exp(-b * abs(u - lam)))
     if fam is Family.MAXWELL_BOLTZMANN:
-        def f(t: float) -> float:
-            return math.exp(min(b * (lam - t), _EXP_CLAMP))
-        return f
-    # Bose-Einstein; pole handled by the integration drivers.
-    def f(t: float) -> float:
-        z = b * (t - lam)
-        if z > _EXP_CLAMP:
-            return 0.0
-        d = math.expm1(z)
-        if d == 0.0:
-            raise SingularityError(
-                f"Bose-Einstein occupancy diverges at u = {lam!r}", pole_location=lam
+        z = b * (lam - u)
+        if z > _EXP_MAX:
+            raise DomainError(
+                f"Maxwell-Boltzmann occupancy overflows double precision at u = {u!r} "
+                f"(sharpness*(cutoff - u) = {z!r})"
             )
-        return 1.0 / d
-    return f
-
-
-def _upper_limit(spec: DistributionSpec, u: float) -> float:
-    if spec.family is Family.SHARP_CUTOFF:
-        return spec.cutoff
-    return max(u, spec.cutoff) + _TAIL_DECADES / spec.sharpness
-
-
-def _guard_be_pole(spec: DistributionSpec, lo: float, hi: float) -> None:
-    lam = spec.cutoff
-    if spec.family is Family.BOSE_EINSTEIN and lo < lam + _POLE_WINDOW and hi > lam - _POLE_WINDOW:
+        return False, (2.0 / b) * math.exp(z)
+    if u < lam + _POLE_WINDOW:
         raise SingularityError(
-            f"integration range [{lo!r}, {hi!r}] crosses the Bose-Einstein pole",
-            pole_location=lam,
+            f"inner integral from u = {u!r} crosses the Bose-Einstein pole", pole_location=lam
         )
+    return False, -(2.0 / b) * math.log(-math.expm1(-b * (u - lam)))
+
+
+def _closed_inner(spec: DistributionSpec, u: float) -> float:
+    linear, tail = _inner_parts(spec, u)
+    return 2.0 * (spec.cutoff - u) + tail if linear else tail
+
+
+def _closed_big_f(spec: DistributionSpec, u: float) -> float:
+    if u == 0.0:
+        return 0.0
+    linear, tail = _inner_parts(spec, u)
+    u2 = u * u
+    if linear:
+        return 2.0 * spec.cutoff * u2 + u2 * (tail - 2.0 * u)
+    return u2 * tail
 
 
 class _Counter:
@@ -127,18 +103,19 @@ class _Counter:
 class ReducedIntegrand:
     """Evaluator for F(u) = u^2 I(u) plus the numeric hints the engines need.
 
-    Spec-backed instances (see reduce_distribution) evaluate I by adaptive
-    quadrature of the occupancy. For |u| below half the cutoff the value is
-    assembled as I(0) - 2 int_0^u f against one cached anchor I(0), so the
-    anchor's quadrature error is a common factor of u^2 and cancels exactly
-    out of odd-derivative boundary stencils. Arguments slightly below zero
-    are permitted on spec-backed instances (analytic extension of f).
+    Spec-backed instances (see reduce_distribution) evaluate I from the
+    family's closed form (module docstring); arguments below zero take the
+    analytic extension. rel_tol is validated and carried, and tightened()
+    still returns a copy with a tighter one, but the closed forms are exact
+    to rounding, so on spec-backed instances it changes no value.
 
     Synthetic instances (from_function) carry an arbitrary F for engine-level
     tests; their inner integral is undefined unless supplied.
 
-    Instances count work: f_evaluations (occupancy calls inside quadratures)
-    and big_f_evaluations. Counters are cumulative; engines snapshot deltas.
+    Instances count work: f_evaluations (closed-form I(u) evaluations; F(0)
+    is exactly zero and costs none) and big_f_evaluations. Counters are
+    cumulative; engines snapshot deltas and report the first as
+    distribution_evaluations.
     """
 
     def __init__(
@@ -161,26 +138,14 @@ class ReducedIntegrand:
         self._counter = _Counter()
         self._big_f_func = big_f_func
         self._inner_func = inner_func
-        self._anchor: float | None = None
         if spec is not None:
             self.knee = spec.cutoff
             self.decay_rate = None if spec.family is Family.SHARP_CUTOFF else spec.sharpness
             self.support_end = spec.cutoff if spec.family is Family.SHARP_CUTOFF else None
-            raw = _scalar_f(spec)
-            counter = self._counter
-
-            def counted(t: float) -> float:
-                counter.f_evals += 1
-                return raw(t)
-
-            self._f = counted
-            self._anchor_window = 0.5 * spec.cutoff
         else:
             self.knee = knee
             self.decay_rate = decay_rate
             self.support_end = support_end
-            self._f = None
-            self._anchor_window = 0.0
 
     @classmethod
     def from_function(
@@ -212,44 +177,23 @@ class ReducedIntegrand:
 
     # -- evaluation ----------------------------------------------------
 
-    def _i0(self) -> float:
-        # Benign race under threads: recomputation yields the same value.
-        if self._anchor is None:
-            spec = self.spec
-            hi = _upper_limit(spec, 0.0)
-            _guard_be_pole(spec, 0.0, hi)
-            pts = [spec.cutoff] if 0.0 < spec.cutoff < hi else None
-            q = quadrature.integrate(self._f, 0.0, hi, rel_tol=self.rel_tol, points=pts)
-            self._anchor = 2.0 * q.value
-        return self._anchor
-
     def inner(self, u: float) -> float:
         """I(u) = 2 int_u^inf f(t) dt."""
         if self.spec is None:
             if self._inner_func is None:
                 raise DomainError("inner integral undefined for a synthetic integrand")
             return self._inner_func(u)
-        spec = self.spec
-        if u <= self._anchor_window:
-            # Anchored short-range form; exact rewrite of the defining integral.
-            head = quadrature.integrate(self._f, 0.0, u, rel_tol=self.rel_tol)
-            return self._i0() - 2.0 * head.value
-        hi = _upper_limit(spec, u)
-        if u >= hi:
-            return 0.0
-        _guard_be_pole(spec, u, hi)
-        pts = [spec.cutoff] if u < spec.cutoff < hi else None
-        q = quadrature.integrate(self._f, u, hi, rel_tol=self.rel_tol, points=pts)
-        return 2.0 * q.value
+        self._counter.f_evals += 1
+        return _closed_inner(self.spec, u)
 
     def big_f(self, u: float) -> float:
         """F(u) = u^2 I(u); exactly zero at u = 0."""
         self._counter.big_f_evals += 1
         if self.spec is None:
             return self._big_f_func(u)
-        if u == 0.0:
-            return 0.0
-        return u * u * self.inner(u)
+        if u != 0.0:
+            self._counter.f_evals += 1
+        return _closed_big_f(self.spec, u)
 
     # -- engine hints ----------------------------------------------------
 
@@ -274,7 +218,10 @@ class ReducedIntegrand:
         return edge
 
     def tightened(self, rel_tol: float) -> "ReducedIntegrand":
-        """Same integrand at a tighter quadrature tolerance (fresh counters)."""
+        """Same integrand at a tighter tolerance (fresh counters).
+
+        Spec-backed values do not depend on the tolerance.
+        """
         if self.spec is None or rel_tol >= self.rel_tol:
             return self
         return ReducedIntegrand(spec=self.spec, rel_tol=rel_tol)
@@ -286,29 +233,19 @@ def reduce_distribution(spec: DistributionSpec, rel_tol: float = 1e-10) -> Reduc
 
 
 def inner_integral(spec: DistributionSpec, u: float, rel_tol: float = 1e-10) -> float:
-    """I(u) = 2 int_u^inf f(t) dt by adaptive quadrature.
+    """I(u) = 2 int_u^inf f(t) dt from the family's closed form.
 
-    The upper limit is truncated where f has decayed below ~1e-22 of its
-    cutoff-plateau scale (or at the sharp support edge, where the closed form
-    is the constant-occupancy area). Raises SingularityError when the range
-    crosses the Bose-Einstein pole, DomainError for u < 0.
+    rel_tol is accepted for compatibility and has no effect. Raises
+    SingularityError for Bose-Einstein at u < cutoff + 1e-6 (the pole
+    window), DomainError for u < 0 or a Maxwell-Boltzmann overflow.
     """
     if u < 0.0:
         raise DomainError(f"u must be nonnegative, got {u!r}")
-    f = _scalar_f(spec)
-    hi = _upper_limit(spec, u)
-    if u >= hi:
-        return 0.0
-    _guard_be_pole(spec, u, hi)
-    pts = [spec.cutoff] if u < spec.cutoff < hi else None
-    q = quadrature.integrate(f, u, hi, rel_tol=rel_tol, points=pts)
-    return 2.0 * q.value
+    return _closed_inner(spec, u)
 
 
 def reduced_big_f(spec: DistributionSpec, u: float, rel_tol: float = 1e-10) -> float:
     """F(u) = u^2 I(u); the one-dimensional summand of the mode comparison."""
     if u < 0.0:
         raise DomainError(f"u must be nonnegative, got {u!r}")
-    if u == 0.0:
-        return 0.0
-    return u * u * inner_integral(spec, u, rel_tol=rel_tol)
+    return _closed_big_f(spec, u)

@@ -4,9 +4,11 @@ The two-plate comparison reduces to the dimensionless bracket
 
     X = sum_{n>=1} F(n) - int_0^inf F(u) du,   F(u) = u^2 I(u).
 
-Two deterministic engines live here. bracket_direct evaluates both pieces
-with adaptive quadrature on the series' unit grid. bracket_euler_maclaurin
-evaluates the boundary expansion
+Two deterministic engines live here. Both read F(u) from the closed-form
+reduction; neither integrates the occupancy numerically. bracket_direct sums
+the series explicitly and integrates F by adaptive quadrature on the series'
+unit grid, a brute-force oracle and the only path that loads scipy.
+bracket_euler_maclaurin evaluates the boundary expansion
 
     X = -F(0)/2 - B_2/2! F'(0) + B_4/4! F'''(0) - B_6/6! F^(5)(0) + ...
 

@@ -253,3 +253,58 @@ def test_compliance_epsilon_bounds():
     for eps in (0.0, 0.5, -0.1, 1.0):
         with pytest.raises(DomainError):
             check_cutoff_compliance(FD, epsilon=eps)
+
+
+def _scalar_compliance(spec, epsilon=0.01):
+    """Reference loop: one scalar eval_f per probe, NaN where it raises."""
+    lam = spec.cutoff
+    us = np.concatenate(
+        [np.linspace(0.0, lam / 2.0, 1000), np.linspace(2.0 * lam, 10.0 * lam, 1000)]
+    )
+    vals = []
+    for u in us:
+        try:
+            vals.append(float(eval_f(spec, float(u))))
+        except SingularityError:
+            vals.append(float("nan"))
+    fs = np.array(vals)
+    plateau_f, decay_f = fs[:1000], fs[1000:]
+    plateau = bool(np.all(np.isfinite(plateau_f)) and np.all(np.abs(plateau_f - 1.0) <= epsilon))
+    decay = bool(np.all(np.isfinite(decay_f)) and np.all(decay_f <= epsilon))
+    in_range = bool(np.all(np.isfinite(fs)) and np.all((fs >= 0.0) & (fs <= 1.0)))
+    return plateau, decay, in_range, us, fs
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DistributionSpec.sharp(25.0),
+        DistributionSpec.fermi_dirac(25.0, 2.0),
+        DistributionSpec.fermi_dirac(7.3, 0.4),
+        DistributionSpec.maxwell_boltzmann(25.0, 2.0),
+        DistributionSpec.bose_einstein(25.0, 2.0),
+        # sharpness * (u - cutoff) underflows to zero for u >= 0.3: the
+        # plateau grid hits the pole exactly at every one of those points
+        DistributionSpec.bose_einstein(0.8, 5e-324),
+    ],
+    ids=["sharp", "fd", "fd-wide", "mb", "be", "be-pole-hits"],
+)
+def test_vector_compliance_matches_scalar_loop(spec):
+    plateau, decay, in_range, us, fs = _scalar_compliance(spec)
+    report = check_cutoff_compliance(spec)
+    assert (report.passes_plateau, report.passes_decay, report.passes_range) == (
+        plateau,
+        decay,
+        in_range,
+    )
+    assert report.verdict == (plateau and decay and in_range)
+    got = np.array(report.diagnostics)
+    assert np.array_equal(got[:, 0].view(np.int64), us.view(np.int64))
+    assert np.array_equal(got[:, 1].view(np.int64), fs.view(np.int64))
+
+
+def test_pole_hitting_grid_records_nan():
+    report = check_cutoff_compliance(DistributionSpec.bose_einstein(0.8, 5e-324))
+    nans = [u for u, f in report.diagnostics if math.isnan(f)]
+    assert len(nans) > 1 and min(nans) >= 0.3 - 1e-12
+    assert not report.passes_range

@@ -188,3 +188,89 @@ def test_small_negative_arguments_extend_analytically():
     integrand = reduce_distribution(FD)
     assert integrand.inner(-1e-3) > integrand.inner(0.0)
     assert integrand.big_f(-1e-3) == pytest.approx(integrand.big_f(1e-3), rel=1e-3)
+
+
+# -- closed forms against brute force, every family ------------------------------
+
+
+def substitution_inner(spec, u, panels=1_000_000):
+    """I(u), u > 0, as a midpoint rule for the x-integral of
+    f(sqrt(x + u^2)) / sqrt(x + u^2); shares no code with the closed forms."""
+    top = spec.cutoff if spec.family is Family.SHARP_CUTOFF else spec.cutoff + 60.0 / spec.sharpness
+    x_hi = top * top - u * u
+    x = (np.arange(panels) + 0.5) * (x_hi / panels)
+    t = np.sqrt(x + u * u)
+    return float(np.sum(eval_f(spec, t) / t)) * (x_hi / panels)
+
+
+def extended_inner(spec, u, anchor=2.0, panels=1_000_000):
+    """Analytic extension below the anchor: I(anchor) + 2 int_u^anchor f."""
+    t = u + (np.arange(panels) + 0.5) * ((anchor - u) / panels)
+    head = float(np.sum(eval_f(spec, t))) * ((anchor - u) / panels)
+    return substitution_inner(spec, anchor) + 2.0 * head
+
+
+CLOSED_FORM_CASES = [
+    (DistributionSpec.fermi_dirac(12.5, 1.7), (3.0, 12.5, 14.0)),
+    (DistributionSpec.sharp(12.5), (3.0, 11.0)),
+    (DistributionSpec.maxwell_boltzmann(12.5, 1.7), (6.0, 12.5, 14.0)),
+    (DistributionSpec.bose_einstein(12.5, 1.7), (13.0, 15.0)),
+]
+
+
+@pytest.mark.parametrize("spec,points", CLOSED_FORM_CASES, ids=["fd", "sharp", "mb", "be"])
+def test_closed_form_matches_substitution_oracle(spec, points):
+    integrand = reduce_distribution(spec)
+    for u in points:
+        brute = substitution_inner(spec, u)
+        assert inner_integral(spec, u) == pytest.approx(brute, rel=1e-8)
+        assert integrand.inner(u) == inner_integral(spec, u)
+        assert integrand.big_f(u) == reduced_big_f(spec, u)
+        assert reduced_big_f(spec, u) == pytest.approx(u * u * brute, rel=1e-8)
+
+
+@pytest.mark.parametrize("spec,_", CLOSED_FORM_CASES[:3], ids=["fd", "sharp", "mb"])
+def test_closed_form_extends_below_zero(spec, _):
+    integrand = reduce_distribution(spec)
+    for u in (-0.05, -1e-3):
+        assert integrand.inner(u) == pytest.approx(extended_inner(spec, u), rel=1e-8)
+
+
+def test_be_pole_window_edge():
+    lam, b = 25.0, 2.0
+    integrand = reduce_distribution(DistributionSpec.bose_einstein(lam, b))
+    for u in (lam, lam + 0.5e-6, math.nextafter(lam + 1e-6, 0.0), 10.0, -1e-3):
+        with pytest.raises(SingularityError):
+            integrand.inner(u)
+        with pytest.raises(SingularityError):
+            integrand.big_f(u)
+    edge = lam + 2e-6
+    delta = edge - lam
+    # I = -(2/b) log(1 - exp(-b delta)) ~ -(2/b) log(b delta) + delta near the pole
+    assert integrand.inner(edge) == pytest.approx(-(2.0 / b) * math.log(b * delta) + delta, rel=1e-9)
+
+
+def test_counter_counts_closed_form_evaluations():
+    integrand = reduce_distribution(FD)
+    integrand.big_f(0.0)
+    assert integrand.f_evaluations == 0
+    integrand.big_f(3.0)
+    integrand.big_f(-3e-3)
+    integrand.inner(4.0)
+    assert integrand.f_evaluations == 3
+    assert integrand.big_f_evaluations == 3
+
+
+def test_tolerance_does_not_change_spec_values():
+    loose = reduce_distribution(FD, rel_tol=1e-6)
+    tight = loose.tightened(1e-14)
+    for u in (-1e-3, 0.5, 24.0, 25.0, 31.0):
+        assert loose.big_f(u) == tight.big_f(u)
+
+
+def test_mb_overflow_is_a_domain_error():
+    # exp(sharpness * (cutoff - u)) beyond double range
+    mb = DistributionSpec.maxwell_boltzmann(400.0, 2.0)
+    with pytest.raises(DomainError):
+        inner_integral(mb, 1.0)
+    assert inner_integral(mb, 50.0) == pytest.approx(math.exp(700.0), rel=1e-12)

@@ -16,6 +16,8 @@ from vacgas import (
     bernoulli,
     bracket_direct,
     bracket_euler_maclaurin,
+    eval_f,
+    eval_f_second_derivative,
     reduce_distribution,
 )
 
@@ -142,6 +144,17 @@ def test_direct_bose_einstein_pole_raises():
         bracket_direct(reduce_distribution(be))
 
 
+@pytest.mark.parametrize(
+    "lam,b", [(15, 2), (18, 2), (12, 3), (40, 0.8), (20, 1), (30, 0.5), (8, 4)]
+)
+def test_direct_maxwell_boltzmann_geometric_sum(lam, b):
+    # sum n^2 (2/b) e^{b(lam-n)} - int u^2 (2/b) e^{b(lam-u)} du in closed form
+    q = math.exp(-b)
+    exact = math.exp(b * lam) * ((2.0 / b) * q * (1.0 + q) / (1.0 - q) ** 3 - 4.0 / b**4)
+    result = bracket_direct(reduce_distribution(DistributionSpec.maxwell_boltzmann(lam, b)))
+    assert abs(result.value - exact) <= result.error_estimate
+
+
 # -- boundary expansion ----------------------------------------------------------
 
 
@@ -157,6 +170,21 @@ def test_em_matches_direct_in_plateau_regime():
     direct = bracket_direct(integrand)
     em = bracket_euler_maclaurin(reduce_distribution(DistributionSpec.fermi_dirac(80.0, 0.5)))
     assert em.value == pytest.approx(direct.value, rel=1e-6)
+
+
+@pytest.mark.parametrize("lam", [36000.0, 35999.7])
+@pytest.mark.parametrize("sharpness", [None, 0.01, 2.0])
+def test_em_large_cutoff_smooth_envelope(lam, sharpness):
+    # physical sweeps put the cutoff near 36000, where F ~ 2 lambda u^2 must
+    # cancel out of the odd-derivative stencils
+    if sharpness is None:
+        spec, f2 = DistributionSpec.sharp(lam), 0.0
+    else:
+        spec = DistributionSpec.fermi_dirac(lam, sharpness)
+        f2 = eval_f_second_derivative(spec, 0.0)
+    result = bracket_euler_maclaurin(reduce_distribution(spec))
+    expected = -eval_f(spec, 0.0) / 60.0 + f2 / 756.0
+    assert abs(result.value - expected) <= 2.0**-30
 
 
 def test_em_order_one_vanishes(fd_spec):
