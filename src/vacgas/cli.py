@@ -1,9 +1,12 @@
 """Command-line front end: every computation as a subcommand.
 
 Output goes to standard output (or --out) as JSON or CSV; logs and notes go
-to standard error. Every run echoes its fully resolved configuration, with
-defaults materialized, so any output can be replayed bit-for-bit from the
-flags it records. Exit status: 0 success, 1 domain/convergence errors,
+to standard error. Every run echoes its fully resolved configuration: every
+flag of the subcommand in declaration order, defaults materialized, derived
+from the parsed arguments in one place (_config_echo). --kc-inverse-bohr is
+recorded as the --kc-physical value it resolves to, and sweep records the
+affinity it used as alpha, so any output can be replayed bit-for-bit from
+the flags it records. Exit status: 0 success, 1 domain/convergence errors,
 2 argument-parse errors.
 """
 
@@ -40,7 +43,30 @@ _PAPER_NOTE = (
 # ---------------------------------------------------------------------------
 
 
+def _add_dist(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dist", required=True, choices=[f.value for f in Family])
+    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--sharpness", type=float, default=None)
+
+
+def _add_deterministic(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--em-order", type=int, default=3)
+    p.add_argument("--quad-tol", type=float, default=1e-10)
+
+
+def _add_sampling(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--streams", type=int, default=1)
+
+
+def _add_kc(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kc-physical", type=float, default=None)
+    p.add_argument("--kc-inverse-bohr", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argument order of each subcommand is its config echo's key order."""
     parser = argparse.ArgumentParser(
         prog="vacgas",
         description="Vacuum photon-gas pressure between parallel plates.",
@@ -48,57 +74,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vacgas {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    dist = argparse.ArgumentParser(add_help=False)
-    dist.add_argument("--dist", required=True, choices=[f.value for f in Family])
-    dist.add_argument("--lambda", dest="lam", type=float, default=None)
-    dist.add_argument("--sharpness", type=float, default=None)
-
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=["csv", "json"], default="json")
-    output.add_argument("--out", default=None)
-
-    deterministic = argparse.ArgumentParser(add_help=False)
-    deterministic.add_argument("--em-order", type=int, default=3)
-    deterministic.add_argument("--quad-tol", type=float, default=1e-10)
-
-    sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--samples", type=int, default=1_000_000)
-    sampling.add_argument("--seed", type=int, default=0)
-    sampling.add_argument("--streams", type=int, default=1)
-
-    kc = argparse.ArgumentParser(add_help=False)
-    kc.add_argument("--kc-physical", type=float, default=None)
-    kc.add_argument("--kc-inverse-bohr", action="store_true")
-
-    p = sub.add_parser(
-        "bracket",
-        parents=[dist, deterministic, sampling, output],
-        help="dimensionless sum-minus-integral bracket",
-    )
+    p = sub.add_parser("bracket", help="dimensionless sum-minus-integral bracket")
+    _add_dist(p)
     p.add_argument("--method", choices=[m.value for m in Method], default="em")
+    _add_deterministic(p)
+    _add_sampling(p)
 
-    p = sub.add_parser(
-        "pressure",
-        parents=[dist, deterministic, output],
-        help="pressure difference at one separation (--dmin, metres)",
-    )
+    p = sub.add_parser("pressure", help="pressure difference at one separation (--dmin, metres)")
+    _add_dist(p)
     p.add_argument("--method", choices=["direct", "em"], default="em")
+    _add_deterministic(p)
     p.add_argument("--dmin", type=float, default=1e-6)
 
-    p = sub.add_parser(
-        "sweep",
-        parents=[dist, kc, deterministic, output],
-        help="pressure over a log-spaced separation range",
-    )
-    p.add_argument("--method", choices=["direct", "em"], default="em")
+    p = sub.add_parser("sweep", help="pressure over a log-spaced separation range")
+    _add_dist(p)
     p.add_argument("--alpha", type=float, default=None)
+    _add_kc(p)
+    p.add_argument("--method", choices=["direct", "em"], default="em")
+    _add_deterministic(p)
     p.add_argument("--dmin", type=float, default=0.6e-6)
     p.add_argument("--dmax", type=float, default=6e-6)
     p.add_argument("--points", type=int, default=13)
 
-    sub.add_parser(
+    p = sub.add_parser(
         "compare",
-        parents=[dist, deterministic, output],
         help="direct versus boundary-expansion bracket on one distribution",
         description=(
             "Direct versus boundary-expansion bracket on one distribution. Each row's "
@@ -107,29 +106,27 @@ def build_parser() -> argparse.ArgumentParser:
             "the expansion's."
         ),
     )
+    _add_dist(p)
+    _add_deterministic(p)
 
-    p = sub.add_parser(
-        "check-cutoff",
-        parents=[dist, output],
-        help="compliance of a distribution with the cutoff criteria",
-    )
+    p = sub.add_parser("check-cutoff", help="compliance of a distribution with the cutoff criteria")
+    _add_dist(p)
     p.add_argument("--epsilon", type=float, default=0.01)
 
-    p = sub.add_parser(
-        "temperature",
-        parents=[kc, output],
-        help="implied vacuum temperature of a thermal-looking edge",
-    )
+    p = sub.add_parser("temperature", help="implied vacuum temperature of a thermal-looking edge")
     p.add_argument("--alpha", type=float, required=True)
+    _add_kc(p)
     p.add_argument("--convention", choices=[c.value for c in Convention], default="paper")
 
-    p = sub.add_parser(
-        "montecarlo",
-        parents=[dist, sampling, output],
-        help="sampled inside-pressure integral",
-    )
+    p = sub.add_parser("montecarlo", help="sampled inside-pressure integral")
+    _add_dist(p)
+    _add_sampling(p)
     p.add_argument("--dmin", type=float, default=1e-6)
 
+    # Output flags close every subcommand's argument list and its echo.
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["csv", "json"], default="json")
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -145,11 +142,19 @@ def _build_spec(args: argparse.Namespace) -> DistributionSpec:
 
 
 def _resolve_kc(args: argparse.Namespace) -> float | None:
+    """Resolve --kc-inverse-bohr into args.kc_physical, which the echo records."""
     if args.kc_inverse_bohr:
         if args.kc_physical is not None:
             raise DomainError("pass either --kc-physical or --kc-inverse-bohr, not both")
-        return 1.0 / make_constants().bohr_radius
+        args.kc_physical = 1.0 / make_constants().bohr_radius
     return args.kc_physical
+
+
+def _config_echo(args: argparse.Namespace) -> dict:
+    """Every resolved argument in declaration order, keyed by its flag name."""
+    config = {"lambda" if key == "lam" else key: v for key, v in vars(args).items()}
+    config.pop("kc_inverse_bohr", None)
+    return config
 
 
 def _json_safe(value):
@@ -186,50 +191,24 @@ def _pressure_row(entry) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (config, results, diagnostics)
+# Subcommand handlers: each returns (results, diagnostics)
 # ---------------------------------------------------------------------------
 
 
 def _cmd_bracket(args):
     spec = _build_spec(args)
     method = Method(args.method)
-    config = {
-        "subcommand": "bracket",
-        "dist": spec.family.value,
-        "lambda": spec.cutoff,
-        "sharpness": spec.sharpness,
-        "method": method.value,
-        "em_order": args.em_order,
-        "quad_tol": args.quad_tol,
-        "samples": args.samples,
-        "seed": args.seed,
-        "streams": args.streams,
-        "format": args.format,
-        "out": args.out,
-    }
     if method is Method.MONTE_CARLO:
         result = bracket_monte_carlo(spec, args.samples, args.seed, args.streams)
     elif method is Method.DIRECT:
         result = bracket_direct(reduce_distribution(spec), quad_tol=args.quad_tol)
     else:
         result = bracket_euler_maclaurin(reduce_distribution(spec), order=args.em_order)
-    return config, [_bracket_row(result)], dict(result.diagnostics)
+    return [_bracket_row(result)], dict(result.diagnostics)
 
 
 def _cmd_pressure(args):
     spec = _build_spec(args)
-    config = {
-        "subcommand": "pressure",
-        "dist": spec.family.value,
-        "lambda": spec.cutoff,
-        "sharpness": spec.sharpness,
-        "method": args.method,
-        "em_order": args.em_order,
-        "quad_tol": args.quad_tol,
-        "dmin": args.dmin,
-        "format": args.format,
-        "out": args.out,
-    }
     entry = pressure_difference(
         spec,
         PlateGeometry(separation_d=args.dmin),
@@ -237,7 +216,7 @@ def _cmd_pressure(args):
         em_order=args.em_order,
         quad_tol=args.quad_tol,
     )
-    return config, [_pressure_row(entry)], dict(entry.bracket.diagnostics)
+    return [_pressure_row(entry)], dict(entry.bracket.diagnostics)
 
 
 def _cmd_sweep(args):
@@ -251,7 +230,8 @@ def _cmd_sweep(args):
     if kc_value is not None:
         if args.sharpness is not None:
             raise DomainError("physical mode takes --alpha; --sharpness is per-separation")
-        alpha = args.alpha if args.alpha is not None else -50.0
+        # The echo records the resolved affinity.
+        alpha = args.alpha = -50.0 if args.alpha is None else args.alpha
         if family is Family.SHARP_CUTOFF:
             template = DistributionSpec.from_physical(family, kc_value, 0.0, args.dmin)
         else:
@@ -261,25 +241,9 @@ def _cmd_sweep(args):
         mode = "physical-kc"
     else:
         template = _build_spec(args)
-        alpha = template.alpha
+        args.alpha = template.alpha
         mode = "fixed-lambda"
 
-    config = {
-        "subcommand": "sweep",
-        "dist": family.value,
-        "lambda": args.lam,
-        "sharpness": args.sharpness,
-        "alpha": alpha,
-        "kc_physical": kc_value,
-        "method": args.method,
-        "em_order": args.em_order,
-        "quad_tol": args.quad_tol,
-        "dmin": args.dmin,
-        "dmax": args.dmax,
-        "points": args.points,
-        "format": args.format,
-        "out": args.out,
-    }
     sweep = lamoreaux_sweep(
         template,
         args.dmin,
@@ -295,21 +259,11 @@ def _cmd_sweep(args):
         "points": len(sweep),
         "all_within_ideal": sweep.all_within_ideal,
     }
-    return config, [_pressure_row(e) for e in sweep], diagnostics
+    return [_pressure_row(e) for e in sweep], diagnostics
 
 
 def _cmd_compare(args):
     spec = _build_spec(args)
-    config = {
-        "subcommand": "compare",
-        "dist": spec.family.value,
-        "lambda": spec.cutoff,
-        "sharpness": spec.sharpness,
-        "em_order": args.em_order,
-        "quad_tol": args.quad_tol,
-        "format": args.format,
-        "out": args.out,
-    }
     direct = bracket_direct(reduce_distribution(spec), quad_tol=args.quad_tol)
     expansion = bracket_euler_maclaurin(reduce_distribution(spec), order=args.em_order)
     scale = max(abs(direct.value), abs(expansion.value), sys.float_info.min)
@@ -324,20 +278,11 @@ def _cmd_compare(args):
         "evaluation_ratio": rows[0]["distribution_evaluations"]
         / max(1, rows[1]["distribution_evaluations"]),
     }
-    return config, rows, diagnostics
+    return rows, diagnostics
 
 
 def _cmd_check_cutoff(args):
     spec = _build_spec(args)
-    config = {
-        "subcommand": "check-cutoff",
-        "dist": spec.family.value,
-        "lambda": spec.cutoff,
-        "sharpness": spec.sharpness,
-        "epsilon": args.epsilon,
-        "format": args.format,
-        "out": args.out,
-    }
     report = check_cutoff_compliance(spec, epsilon=args.epsilon)
     results = [
         {
@@ -353,7 +298,7 @@ def _cmd_check_cutoff(args):
     ]
     stride = max(1, len(report.diagnostics) // 20)
     diagnostics = {"probes": [list(p) for p in report.diagnostics[::stride]]}
-    return config, results, diagnostics
+    return results, diagnostics
 
 
 def _cmd_temperature(args):
@@ -361,14 +306,6 @@ def _cmd_temperature(args):
     if kc_value is None:
         raise DomainError("temperature needs --kc-physical or --kc-inverse-bohr")
     convention = Convention(args.convention)
-    config = {
-        "subcommand": "temperature",
-        "alpha": args.alpha,
-        "kc_physical": kc_value,
-        "convention": convention.value,
-        "format": args.format,
-        "out": args.out,
-    }
     estimate = temperature_from_affinity(args.alpha, kc_value, convention)
     if convention is Convention.WAVENUMBER_LITERAL:
         print(_PAPER_NOTE, file=sys.stderr)
@@ -382,23 +319,11 @@ def _cmd_temperature(args):
             "convention": estimate.convention.value,
         }
     ]
-    return config, results, {}
+    return results, {}
 
 
 def _cmd_montecarlo(args):
     spec = _build_spec(args)
-    config = {
-        "subcommand": "montecarlo",
-        "dist": spec.family.value,
-        "lambda": spec.cutoff,
-        "sharpness": spec.sharpness,
-        "samples": args.samples,
-        "seed": args.seed,
-        "streams": args.streams,
-        "dmin": args.dmin,
-        "format": args.format,
-        "out": args.out,
-    }
     estimate = estimate_p_in(McConfig(spec, args.samples, args.seed, args.streams))
     pressure_pa, pressure_se = pressure_inside_from_mc(estimate, args.dmin)
     results = [
@@ -414,7 +339,7 @@ def _cmd_montecarlo(args):
         }
     ]
     relative = estimate.standard_error / abs(estimate.mean)
-    return config, results, {"relative_standard_error": relative}
+    return results, {"relative_standard_error": relative}
 
 
 _HANDLERS = {
@@ -479,13 +404,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
 
     try:
-        config, results, diagnostics = _HANDLERS[args.subcommand](args)
+        results, diagnostics = _HANDLERS[args.subcommand](args)
     except VacgasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     render = _render_csv if args.format == "csv" else _render_json
-    text = render(config, results, diagnostics)
+    text = render(_config_echo(args), results, diagnostics)
     if args.out is not None:
         Path(args.out).write_text(text)
     else:

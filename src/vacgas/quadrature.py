@@ -1,9 +1,9 @@
 """Adaptive quadrature wrapper used by bracket_direct's integral piece.
 
 Thin layer over scipy's QUADPACK bindings: relative-tolerance interface,
-optional interior break points, evaluation counting, and a uniform error
-policy (ConvergenceError when the estimate cannot be trusted). scipy is
-imported on the first call, so importing vacgas does not load it.
+evaluation counting, and a uniform error policy (ConvergenceError when the
+estimate cannot be trusted). scipy is imported on the first call, so
+importing vacgas does not load it.
 """
 
 from __future__ import annotations
@@ -30,38 +30,29 @@ def integrate(
     b: float,
     *,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-    points: list[float] | None = None,
     limit: int = 200,
 ) -> QuadResult:
-    """Integrate func over [a, b] adaptively.
+    """Integrate func over [a, b] adaptively; infinite limits are allowed.
 
-    points lists interior abscissae that must become panel boundaries (knees,
-    kinks). Infinite limits are allowed only without break points. A QUADPACK
-    warning is tolerated when the reported error still meets a loose multiple
-    of the request; otherwise ConvergenceError.
+    A QUADPACK warning is tolerated when the reported error still meets a
+    loose multiple of the request; otherwise ConvergenceError.
     """
     from scipy import integrate as scipy_integrate
 
-    if points:
-        pts = sorted(p for p in points if a < p < b)
-    else:
-        pts = None
     out = scipy_integrate.quad(
         func,
         a,
         b,
-        epsabs=abs_tol,
+        epsabs=0.0,
         epsrel=rel_tol,
         limit=limit,
-        points=pts if pts else None,
         full_output=1,
     )
     value, abserr, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0))
     if len(out) > 3:
         # Warning path: accept if the self-reported error is still small.
-        budget = max(abs_tol, rel_tol * abs(value)) * 100.0 + 1e-250
+        budget = rel_tol * abs(value) * 100.0 + 1e-250
         if not (math.isfinite(value) and abserr <= budget):
             raise ConvergenceError(
                 f"quadrature failed on [{a!r}, {b!r}]: {out[3]}",

@@ -104,10 +104,8 @@ class ReducedIntegrand:
     """Evaluator for F(u) = u^2 I(u) plus the numeric hints the engines need.
 
     Spec-backed instances (see reduce_distribution) evaluate I from the
-    family's closed form (module docstring); arguments below zero take the
-    analytic extension. rel_tol is validated and carried, and tightened()
-    still returns a copy with a tighter one, but the closed forms are exact
-    to rounding, so on spec-backed instances it changes no value.
+    family's closed form (module docstring), exact to rounding; arguments
+    below zero take the analytic extension.
 
     Synthetic instances (from_function) carry an arbitrary F for engine-level
     tests; their inner integral is undefined unless supplied.
@@ -124,17 +122,13 @@ class ReducedIntegrand:
         spec: DistributionSpec | None = None,
         big_f_func: Callable[[float], float] | None = None,
         inner_func: Callable[[float], float] | None = None,
-        rel_tol: float = 1e-10,
         knee: float | None = None,
         decay_rate: float | None = None,
         support_end: float | None = None,
     ):
         if (spec is None) == (big_f_func is None):
             raise DomainError("provide exactly one of spec or big_f_func")
-        if not 0.0 < rel_tol <= 1e-6:
-            raise DomainError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
         self.spec = spec
-        self.rel_tol = rel_tol
         self._counter = _Counter()
         self._big_f_func = big_f_func
         self._inner_func = inner_func
@@ -217,26 +211,16 @@ class ReducedIntegrand:
             return 0.0
         return edge
 
-    def tightened(self, rel_tol: float) -> "ReducedIntegrand":
-        """Same integrand at a tighter tolerance (fresh counters).
 
-        Spec-backed values do not depend on the tolerance.
-        """
-        if self.spec is None or rel_tol >= self.rel_tol:
-            return self
-        return ReducedIntegrand(spec=self.spec, rel_tol=rel_tol)
-
-
-def reduce_distribution(spec: DistributionSpec, rel_tol: float = 1e-10) -> ReducedIntegrand:
+def reduce_distribution(spec: DistributionSpec) -> ReducedIntegrand:
     """Build the reduced one-dimensional integrand for a distribution."""
-    return ReducedIntegrand(spec=spec, rel_tol=rel_tol)
+    return ReducedIntegrand(spec=spec)
 
 
-def inner_integral(spec: DistributionSpec, u: float, rel_tol: float = 1e-10) -> float:
+def inner_integral(spec: DistributionSpec, u: float) -> float:
     """I(u) = 2 int_u^inf f(t) dt from the family's closed form.
 
-    rel_tol is accepted for compatibility and has no effect. Raises
-    SingularityError for Bose-Einstein at u < cutoff + 1e-6 (the pole
+    Raises SingularityError for Bose-Einstein at u < cutoff + 1e-6 (the pole
     window), DomainError for u < 0 or a Maxwell-Boltzmann overflow.
     """
     if u < 0.0:
@@ -244,7 +228,7 @@ def inner_integral(spec: DistributionSpec, u: float, rel_tol: float = 1e-10) -> 
     return _closed_inner(spec, u)
 
 
-def reduced_big_f(spec: DistributionSpec, u: float, rel_tol: float = 1e-10) -> float:
+def reduced_big_f(spec: DistributionSpec, u: float) -> float:
     """F(u) = u^2 I(u); the one-dimensional summand of the mode comparison."""
     if u < 0.0:
         raise DomainError(f"u must be nonnegative, got {u!r}")

@@ -174,14 +174,13 @@ def bracket_direct(
             )
 
     work_tol = max(quad_tol * 1e-3, 2e-14)
-    eff = integrand.tightened(work_tol)
-    f0 = eff.f_evaluations
-    g0 = eff.big_f_evaluations
+    f0 = integrand.f_evaluations
+    g0 = integrand.big_f_evaluations
 
-    series_terms = [eff.big_f(float(n)) for n in range(1, n_max + 1)]
+    series_terms = [integrand.big_f(float(n)) for n in range(1, n_max + 1)]
     series_sum = math.fsum(series_terms)
 
-    knee = eff.knee
+    knee = integrand.knee
     panel_values: list[float] = []
     quad_err = 0.0
     panels = 0
@@ -189,7 +188,7 @@ def bracket_direct(
     def run_panel(lo: float, hi: float) -> None:
         nonlocal quad_err, panels
         try:
-            q = quadrature.integrate(eff.big_f, lo, hi, rel_tol=work_tol, limit=100)
+            q = quadrature.integrate(integrand.big_f, lo, hi, rel_tol=work_tol, limit=100)
         except ConvergenceError as exc:
             exc.diagnostics.update(
                 {"series_sum": series_sum, "panel": (lo, hi), "partial_integral": math.fsum(panel_values)}
@@ -214,6 +213,9 @@ def bracket_direct(
             diagnostics={"series_sum": series_sum, "integral": integral, "quad_error": quad_err},
         )
 
+    # Snapshot the work counters before tail_bound, which evaluates F once more.
+    big_f_evaluations = integrand.big_f_evaluations - g0
+    distribution_evaluations = integrand.f_evaluations - f0
     tail = integrand.tail_bound(n_max) if integrand.spec is not None else abs(series_terms[-1])
     cancellation = (_EPS + work_tol) * (abs(series_sum) + abs(integral))
     value = series_sum - integral
@@ -231,8 +233,8 @@ def bracket_direct(
         "quad_tol": quad_tol,
         "lambda_plateau": plateau,
         "plateau_note": plateau_note,
-        "big_f_evaluations": eff.big_f_evaluations - g0,
-        "distribution_evaluations": eff.f_evaluations - f0,
+        "big_f_evaluations": big_f_evaluations,
+        "distribution_evaluations": distribution_evaluations,
     }
     return BracketResult(
         value=value,
@@ -308,7 +310,6 @@ def _odd_derivative(big_f, m: int, step: float) -> tuple[float, float, float]:
 def bracket_euler_maclaurin(
     integrand: ReducedIntegrand,
     order: int = 3,
-    table: BernoulliTable | None = None,
     *,
     base_step: float = 1e-3,
 ) -> BracketResult:
@@ -326,10 +327,9 @@ def bracket_euler_maclaurin(
         raise DomainError(f"order must be >= 1, got {order!r}")
     if not base_step > 0.0:
         raise DomainError(f"base_step must be positive, got {base_step!r}")
-    if table is None:
-        table = bernoulli(min(order + 1, _MAX_TABLE))
-    if order > len(table):
-        raise DomainError(f"order {order} exceeds the Bernoulli table size {len(table)}")
+    if order > _MAX_TABLE:
+        raise DomainError(f"order {order} exceeds the Bernoulli table size {_MAX_TABLE}")
+    table = bernoulli(min(order + 1, _MAX_TABLE))
 
     memo: dict[float, float] = {}
     g0 = integrand.big_f_evaluations

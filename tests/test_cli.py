@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import vacgas
-from vacgas import DistributionSpec, Method, bracket_euler_maclaurin, reduce_distribution
+from vacgas import DistributionSpec, bracket_euler_maclaurin, reduce_distribution
 from vacgas.cli import run
 
 SWEEP_HEADER = (
@@ -171,8 +171,9 @@ def test_compare_reports_speedup_and_gap(capsys):
         direct["distribution_evaluations"] / em["distribution_evaluations"]
     )
     assert env["diagnostics"]["relative_difference"] > 0.5
-    for row in env["results"]:
-        assert row["distribution_evaluations"] > 0
+    # one closed-form I(u) per nonzero F: 1100 series and panel points, 32 stencil points
+    assert direct["distribution_evaluations"] == 1100
+    assert em["distribution_evaluations"] == 32
 
 
 def test_check_cutoff_verdicts(capsys):
@@ -252,27 +253,63 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+DIST_KEYS = ["subcommand", "dist", "lambda", "sharpness"]
+DETERMINISTIC_KEYS = ["em_order", "quad_tol"]
+SAMPLING_KEYS = ["samples", "seed", "streams"]
+OUTPUT_KEYS = ["format", "out"]
+FD_25_2 = ["--dist", "fd", "--lambda", "25", "--sharpness", "2"]
+
+# (argv, the echoed config's keys in order); one case per subcommand and mode
+ROUND_TRIP_CASES = [
+    (
+        ["montecarlo", *FD_25_2, "--samples", "100000", "--seed", "42"],
+        DIST_KEYS + SAMPLING_KEYS + ["dmin"] + OUTPUT_KEYS,
+    ),
+    *(
+        (
+            ["bracket", *FD_25_2, "--method", method, "--samples", "100000", "--seed", "4"],
+            DIST_KEYS + ["method"] + DETERMINISTIC_KEYS + SAMPLING_KEYS + OUTPUT_KEYS,
+        )
+        for method in ("em", "direct", "mc")
+    ),
+    (
+        ["pressure", *FD_25_2, "--dmin", "1e-6"],
+        DIST_KEYS + ["method"] + DETERMINISTIC_KEYS + ["dmin"] + OUTPUT_KEYS,
+    ),
+    *(
+        (
+            ["sweep", *mode, "--dmin", "1e-6", "--dmax", "2e-6", "--points", "3"],
+            DIST_KEYS + ["alpha", "kc_physical", "method"] + DETERMINISTIC_KEYS
+            + ["dmin", "dmax", "points"] + OUTPUT_KEYS,
+        )
+        for mode in (["--dist", "fd", "--kc-inverse-bohr"], FD_25_2)
+    ),
+    (["compare", *FD_25_2], DIST_KEYS + DETERMINISTIC_KEYS + OUTPUT_KEYS),
+    (["check-cutoff", *FD_25_2], DIST_KEYS + ["epsilon"] + OUTPUT_KEYS),
+    (
+        ["temperature", "--alpha", "-1", "--kc-inverse-bohr"],
+        ["subcommand", "alpha", "kc_physical", "convention"] + OUTPUT_KEYS,
+    ),
+]
+
+
+def argv_from_config(cfg):
+    argv = [cfg["subcommand"]]
+    for key, value in cfg.items():
+        if key != "subcommand" and value is not None:
+            argv += ["--" + key.replace("_", "-"), repr(value) if isinstance(value, float) else str(value)]
+    return argv
+
+
 def test_config_echo_round_trips(capsys):
-    argv = [
-        "montecarlo", "--dist", "fd", "--lambda", "25", "--sharpness", "2",
-        "--samples", "100000", "--seed", "42",
-    ]
-    assert run(argv) == 0
-    first = capsys.readouterr().out
-    cfg = json.loads(first)["config"]
-    rebuilt = [
-        "montecarlo",
-        "--dist", cfg["dist"],
-        "--lambda", repr(cfg["lambda"]),
-        "--sharpness", repr(cfg["sharpness"]),
-        "--samples", str(cfg["samples"]),
-        "--seed", str(cfg["seed"]),
-        "--streams", str(cfg["streams"]),
-        "--dmin", repr(cfg["dmin"]),
-        "--format", cfg["format"],
-    ]
-    assert run(rebuilt) == 0
-    assert capsys.readouterr().out == first
+    # every subcommand's echo replays its run bit for bit, in a pinned key order
+    for argv, keys in ROUND_TRIP_CASES:
+        assert run(argv) == 0, argv
+        first = capsys.readouterr().out
+        cfg = json.loads(first)["config"]
+        assert list(cfg) == keys, argv
+        assert run(argv_from_config(cfg)) == 0, argv
+        assert capsys.readouterr().out == first, argv
 
 
 # -- plumbing -----------------------------------------------------------------------

@@ -15,16 +15,6 @@ def test_gamma_self_check():
     assert result.evaluations > 0
 
 
-def test_break_points_capture_a_kink():
-    result = integrate(lambda u: abs(u - 0.3), 0.0, 1.0, rel_tol=1e-12, points=[0.3])
-    assert result.value == pytest.approx(0.3**2 / 2 + 0.7**2 / 2, rel=1e-13)
-
-
-def test_break_points_outside_range_ignored():
-    result = integrate(math.sin, 0.0, 1.0, rel_tol=1e-12, points=[-5.0, 7.0])
-    assert result.value == pytest.approx(1.0 - math.cos(1.0), rel=1e-12)
-
-
 def test_error_estimate_bounds_true_error():
     result = integrate(lambda u: math.exp(-u * u), 0.0, 10.0, rel_tol=1e-10)
     exact = math.sqrt(math.pi) / 2.0

@@ -134,14 +134,6 @@ def test_reduce_distribution_counts_work():
     assert integrand.f_evaluations > 0
 
 
-def test_tightened_returns_fresh_tolerance():
-    integrand = reduce_distribution(FD, rel_tol=1e-8)
-    tighter = integrand.tightened(1e-12)
-    assert tighter.rel_tol == 1e-12
-    assert tighter.spec is FD
-    assert integrand.tightened(1e-6) is integrand
-
-
 def test_default_n_max_covers_tail():
     assert reduce_distribution(FD).default_n_max() == 50
     assert reduce_distribution(DistributionSpec.sharp(5.0)).default_n_max() == 5
@@ -171,8 +163,6 @@ def test_constructor_validation():
         ReducedIntegrand()
     with pytest.raises(DomainError):
         ReducedIntegrand(spec=FD, big_f_func=lambda u: u)
-    with pytest.raises(DomainError):
-        ReducedIntegrand(spec=FD, rel_tol=1e-3)
 
 
 def test_anchored_short_range_consistency():
@@ -259,13 +249,6 @@ def test_counter_counts_closed_form_evaluations():
     integrand.inner(4.0)
     assert integrand.f_evaluations == 3
     assert integrand.big_f_evaluations == 3
-
-
-def test_tolerance_does_not_change_spec_values():
-    loose = reduce_distribution(FD, rel_tol=1e-6)
-    tight = loose.tightened(1e-14)
-    for u in (-1e-3, 0.5, 24.0, 25.0, 31.0):
-        assert loose.big_f(u) == tight.big_f(u)
 
 
 def test_mb_overflow_is_a_domain_error():
