@@ -7,6 +7,12 @@ bracket scaled by pi^2 hbar c / (4 d^4); this package evaluates the bracket
 by direct summation, by a boundary-derivative expansion and by Monte Carlo,
 classifies candidate distributions against the cutoff criteria, and converts
 a thermal-looking occupancy edge into an implied temperature.
+
+Importing vacgas loads neither numpy nor scipy. The six Monte Carlo names
+resolve on first access (PEP 562), which imports montecarlo and numpy;
+eval_f and check_cutoff_compliance import numpy on their first call;
+integrate imports scipy only for a range its first Gauss-Kronrod step does
+not settle.
 """
 
 from .constants import (
@@ -32,14 +38,6 @@ from .errors import (
     SingularityError,
     UnsupportedFamilyError,
     VacgasError,
-)
-from .montecarlo import (
-    McConfig,
-    McEstimate,
-    bracket_monte_carlo,
-    estimate_p_in,
-    photon_flux_density,
-    pressure_inside_from_mc,
 )
 from .pressure import (
     PressureResult,
@@ -120,3 +118,29 @@ __all__ = [
     "affinity_from_temperature",
     "temperature_from_affinity",
 ]
+
+# The numpy-backed Monte Carlo names, imported from montecarlo on first access.
+_MONTECARLO_NAMES = frozenset(
+    {
+        "McConfig",
+        "McEstimate",
+        "bracket_monte_carlo",
+        "estimate_p_in",
+        "photon_flux_density",
+        "pressure_inside_from_mc",
+    }
+)
+
+
+def __getattr__(name):
+    if name not in _MONTECARLO_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import montecarlo
+
+    # Cached as a module global, so later lookups skip this hook.
+    value = globals()[name] = getattr(montecarlo, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _MONTECARLO_NAMES)

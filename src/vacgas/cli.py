@@ -8,6 +8,9 @@ recorded as the --kc-physical value it resolves to, and sweep records the
 affinity it used as alpha, so any output can be replayed bit-for-bit from
 the flags it records. Exit status: 0 success, 1 domain/convergence errors,
 2 argument-parse errors.
+
+The Monte Carlo handlers import the numpy-backed montecarlo module
+themselves, so the deterministic subcommands run without numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from . import __version__
 from .constants import PlateGeometry, make_constants
 from .distributions import DistributionSpec, Family, check_cutoff_compliance
 from .errors import DomainError, VacgasError
-from .montecarlo import McConfig, bracket_monte_carlo, estimate_p_in, pressure_inside_from_mc
 from .pressure import lamoreaux_sweep, pressure_difference
 from .reduction import reduce_distribution
 from .summation import Method, bracket_direct, bracket_euler_maclaurin
@@ -199,6 +201,8 @@ def _cmd_bracket(args):
     spec = _build_spec(args)
     method = Method(args.method)
     if method is Method.MONTE_CARLO:
+        from .montecarlo import bracket_monte_carlo
+
         result = bracket_monte_carlo(spec, args.samples, args.seed, args.streams)
     elif method is Method.DIRECT:
         result = bracket_direct(reduce_distribution(spec), quad_tol=args.quad_tol)
@@ -241,6 +245,11 @@ def _cmd_sweep(args):
         mode = "physical-kc"
     else:
         template = _build_spec(args)
+        if args.alpha is not None and args.alpha != template.alpha:
+            raise DomainError(
+                f"fixed mode takes its affinity -sharpness*lambda = {template.alpha!r} "
+                f"from the spec; got --alpha {args.alpha!r}"
+            )
         args.alpha = template.alpha
         mode = "fixed-lambda"
 
@@ -323,6 +332,8 @@ def _cmd_temperature(args):
 
 
 def _cmd_montecarlo(args):
+    from .montecarlo import McConfig, estimate_p_in, pressure_inside_from_mc
+
     spec = _build_spec(args)
     estimate = estimate_p_in(McConfig(spec, args.samples, args.seed, args.streams))
     pressure_pa, pressure_se = pressure_inside_from_mc(estimate, args.dmin)

@@ -3,6 +3,9 @@
 A distribution assigns each dimensionless momentum magnitude u an occupancy
 f(u). Dimensionless variables: cutoff = k_c d / pi, sharpness = beta pi / d,
 so the affinity alpha = -sharpness * cutoff is separation independent.
+
+numpy is imported by the two functions that use it, eval_f and
+check_cutoff_compliance, on their first call; building specs does not load it.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import DomainError, SingularityError, UnsupportedFamilyError
 
@@ -122,6 +123,8 @@ def eval_f(spec: DistributionSpec, u):
     u = cutoff and raises SingularityError there; elsewhere its (possibly
     negative) value is returned as-is so callers can diagnose it.
     """
+    import numpy as np
+
     scalar = np.isscalar(u) or np.ndim(u) == 0
     uu = np.asarray(u, dtype=float)
     lam = spec.cutoff
@@ -198,6 +201,7 @@ def check_cutoff_compliance(spec: DistributionSpec, epsilon: float = 0.01) -> Co
     """
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
+    import numpy as np
 
     lam = spec.cutoff
     plateau_u = np.linspace(0.0, lam / 2.0, _PROBES_PER_INTERVAL)

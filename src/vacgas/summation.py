@@ -7,7 +7,8 @@ The two-plate comparison reduces to the dimensionless bracket
 Two deterministic engines live here. Both read F(u) from the closed-form
 reduction; neither integrates the occupancy numerically. bracket_direct sums
 the series explicitly and integrates F by adaptive quadrature on the series'
-unit grid, a brute-force oracle and the only path that loads scipy.
+unit grid, a brute-force oracle; scipy loads only for a panel that
+quadrature's first Gauss-Kronrod step does not settle.
 bracket_euler_maclaurin evaluates the boundary expansion
 
     X = -F(0)/2 - B_2/2! F'(0) + B_4/4! F'''(0) - B_6/6! F^(5)(0) + ...

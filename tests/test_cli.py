@@ -127,6 +127,19 @@ def test_sweep_mode_flags_are_exclusive(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_fixed_mode_rejects_a_different_alpha(capsys):
+    argv = ["sweep", "--dist", "fd", "--lambda", "25", "--sharpness", "2", "--points", "3"]
+    assert run([*argv, "--alpha", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alpha -3.0" in captured.err
+    # The spec's own affinity, as the echo records it, is accepted.
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    assert run([*argv, "--alpha", "-50.0"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_csv_and_json_agree_numerically(capsys):
     argv = [
         "sweep", "--dist", "fd", "--lambda", "25", "--sharpness", "2",

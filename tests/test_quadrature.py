@@ -3,8 +3,9 @@
 import math
 
 import pytest
+from scipy import integrate as scipy_integrate
 
-from vacgas import ConvergenceError, integrate
+from vacgas import ConvergenceError, DistributionSpec, integrate, reduce_distribution
 
 
 def test_gamma_self_check():
@@ -25,3 +26,54 @@ def test_unresolvable_integrand_raises():
     with pytest.raises(ConvergenceError) as info:
         integrate(lambda u: math.sin(1.0 / u), 1e-12, 1.0, rel_tol=1e-13, limit=10)
     assert "evaluations" in info.value.diagnostics
+
+
+# -- the first Gauss-Kronrod step is QUADPACK's, bit for bit ---------------------
+
+SPECS = (
+    DistributionSpec.fermi_dirac(25.0, 2.0),
+    DistributionSpec.fermi_dirac(25.5, 0.8),
+    DistributionSpec.fermi_dirac(2000.0, 0.5),
+    DistributionSpec.maxwell_boltzmann(10.0, 1.5),
+    DistributionSpec.sharp(12.0),
+    DistributionSpec.sharp(49.8633),
+)
+
+
+def bracket_panels(spec):
+    """bracket_direct's panels: unit panels, the one holding the cutoff split there."""
+    lam = spec.cutoff
+    for m in range(reduce_distribution(spec).default_n_max()):
+        lo, hi = float(m), float(m + 1)
+        if lo < lam < hi:
+            yield lo, lam
+            yield lam, hi
+        else:
+            yield lo, hi
+
+
+def scipy_qags(func, a, b, rel_tol):
+    value, error, info = scipy_integrate.quad(
+        func, a, b, epsabs=0.0, epsrel=rel_tol, limit=100, full_output=1
+    )[:3]
+    return value, error, info["neval"]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family.value}-{s.cutoff}")
+def test_first_step_matches_quadpack_bitwise(spec, rel_tol):
+    func = reduce_distribution(spec).big_f
+    for a, b in bracket_panels(spec):
+        result = integrate(func, a, b, rel_tol=rel_tol, limit=100)
+        assert (result.value, result.error, result.evaluations) == scipy_qags(func, a, b, rel_tol)
+        assert result.evaluations == 21
+
+
+def test_unsettled_panel_falls_back_to_quadpack():
+    # The sharp kink at 49.8633 inside an unsplit panel: QAGS must bisect.
+    func = reduce_distribution(DistributionSpec.sharp(49.8633)).big_f
+    value, error, neval = scipy_qags(func, 49.0, 50.0, 1e-10)
+    assert neval > 21
+    result = integrate(func, 49.0, 50.0, rel_tol=1e-10, limit=100)
+    assert (result.value, result.error) == (value, error)
+    assert result.evaluations == 21 + neval

@@ -165,12 +165,14 @@ def test_constructor_validation():
         ReducedIntegrand(spec=FD, big_f_func=lambda u: u)
 
 
-def test_anchored_short_range_consistency():
-    # below cutoff/2 the inner integral is assembled from a cached anchor at
-    # zero; both branches must match the closed form where they meet
+def test_linear_split_is_continuous_at_cutoff():
+    # below the cutoff I(u) is assembled as 2 (cutoff - u) plus a tail, above
+    # it as the tail alone; both sides of that seam must match the closed form
     integrand = reduce_distribution(FD)
-    for u in (12.49, 12.51):
-        assert integrand.inner(u) == pytest.approx(fd_inner_closed_form(FD, u), rel=1e-9)
+    for u in (25.0 - 1e-9, 25.0, 25.0 + 1e-9, 24.99, 25.01):
+        inner = fd_inner_closed_form(FD, u)
+        assert integrand.inner(u) == pytest.approx(inner, rel=1e-12)
+        assert integrand.big_f(u) == pytest.approx(u * u * inner, rel=1e-12)
 
 
 def test_small_negative_arguments_extend_analytically():
