@@ -234,11 +234,13 @@ def _cmd_sweep(args):
     if kc_value is not None:
         if args.sharpness is not None:
             raise DomainError("physical mode takes --alpha; --sharpness is per-separation")
-        # The echo records the resolved affinity.
-        alpha = args.alpha = -50.0 if args.alpha is None else args.alpha
         if family is Family.SHARP_CUTOFF:
+            if args.alpha is not None:
+                raise DomainError("a sharp cutoff has no affinity; drop --alpha")
             template = DistributionSpec.from_physical(family, kc_value, 0.0, args.dmin)
         else:
+            # The echo records the resolved affinity.
+            alpha = args.alpha = -50.0 if args.alpha is None else args.alpha
             if alpha >= 0.0:
                 raise DomainError(f"affinity must be negative, got {alpha!r}")
             template = DistributionSpec.from_physical(family, kc_value, -alpha / kc_value, args.dmin)

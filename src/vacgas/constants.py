@@ -7,6 +7,7 @@ lives in units of pi/d per momentum axis; conversions happen at the edges
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -62,7 +63,7 @@ def cutoff_frequency(k_c: float, constants: PhysicalConstants | None = None) -> 
     Parameters
     ----------
     k_c : float
-        Cutoff wavenumber in 1/m; must be positive.
+        Cutoff wavenumber in 1/m; must be positive and finite.
 
     Returns
     -------
@@ -71,8 +72,8 @@ def cutoff_frequency(k_c: float, constants: PhysicalConstants | None = None) -> 
     """
     if constants is None:
         constants = make_constants()
-    if not k_c > 0.0:
-        raise DomainError(f"cutoff wavenumber must be positive, got {k_c!r}")
+    if not (k_c > 0.0 and math.isfinite(k_c)):
+        raise DomainError(f"cutoff wavenumber must be positive and finite, got {k_c!r}")
     return k_c * constants.c
 
 
@@ -80,7 +81,8 @@ def cutoff_frequency(k_c: float, constants: PhysicalConstants | None = None) -> 
 class PlateGeometry:
     """Two parallel conducting plates: separation d, lateral extent L (meters).
 
-    The mode model assumes d << L. Constructing a geometry with
+    Both lengths must be positive and finite. The mode model assumes
+    d << L. Constructing a geometry with
     d / L > 0.01 emits a ModelRegimeWarning but does not fail.
     """
 
@@ -88,10 +90,10 @@ class PlateGeometry:
     lateral_size_l: float = 1.0
 
     def __post_init__(self):
-        if not self.separation_d > 0.0:
-            raise DomainError(f"plate separation must be positive, got {self.separation_d!r}")
-        if not self.lateral_size_l > 0.0:
-            raise DomainError(f"lateral plate size must be positive, got {self.lateral_size_l!r}")
+        for name, length in (("plate separation", self.separation_d),
+                             ("lateral plate size", self.lateral_size_l)):
+            if not (length > 0.0 and math.isfinite(length)):
+                raise DomainError(f"{name} must be positive and finite, got {length!r}")
         if self.separation_d / self.lateral_size_l > 0.01:
             warnings.warn(
                 "separation/lateral ratio d/L = "

@@ -44,9 +44,10 @@ class Family(Enum):
 class DistributionSpec:
     """One occupancy function: family plus dimensionless cutoff and sharpness.
 
-    ``cutoff`` is the dimensionless cutoff scale (k_c d / pi). ``sharpness``
-    is the dimensionless transition rate (beta pi / d); unused by the sharp
-    step, required positive for the smooth families.
+    ``cutoff`` is the dimensionless cutoff scale (k_c d / pi), positive and
+    finite. ``sharpness`` is the dimensionless transition rate (beta pi / d);
+    unused by the sharp step, required positive and finite for the smooth
+    families.
     """
 
     family: Family
@@ -56,13 +57,12 @@ class DistributionSpec:
     def __post_init__(self):
         if not isinstance(self.family, Family):
             raise DomainError(f"family must be a Family member, got {self.family!r}")
-        if not self.cutoff > 0.0:
-            raise DomainError(f"cutoff must be positive, got {self.cutoff!r}")
-        if self.family is not Family.SHARP_CUTOFF:
-            if self.sharpness is None or not self.sharpness > 0.0:
-                raise DomainError(
-                    f"{self.family.value} requires positive sharpness, got {self.sharpness!r}"
-                )
+        if not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
+            raise DomainError(f"cutoff must be positive and finite, got {self.cutoff!r}")
+        b = self.sharpness
+        smooth = self.family is not Family.SHARP_CUTOFF
+        if smooth and (b is None or not (b > 0.0 and math.isfinite(b))):
+            raise DomainError(f"{self.family.value} requires positive finite sharpness, got {b!r}")
 
     @property
     def alpha(self) -> float | None:
@@ -92,8 +92,8 @@ class DistributionSpec:
         cls, family: Family, k_c: float, beta: float, separation_d: float
     ) -> "DistributionSpec":
         """Build from physical cutoff k_c (1/m), decay length beta (m), separation d (m)."""
-        if not k_c > 0.0:
-            raise DomainError(f"physical cutoff must be positive, got {k_c!r}")
+        if not (k_c > 0.0 and math.isfinite(k_c)):
+            raise DomainError(f"physical cutoff must be positive and finite, got {k_c!r}")
         if not separation_d > 0.0:
             raise DomainError(f"separation must be positive, got {separation_d!r}")
         cutoff = k_c * separation_d / math.pi

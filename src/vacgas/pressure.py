@@ -141,8 +141,8 @@ def lamoreaux_sweep(
     """
     if points < 2:
         raise DomainError(f"a sweep needs at least 2 points, got {points!r}")
-    if not 0.0 < d_min < d_max:
-        raise DomainError(f"need 0 < d_min < d_max, got {d_min!r}, {d_max!r}")
+    if not 0.0 < d_min < d_max < math.inf:
+        raise DomainError(f"need 0 < d_min < d_max < inf, got {d_min!r}, {d_max!r}")
     constants = constants or make_constants()
 
     ratio = math.log(d_max / d_min)

@@ -92,23 +92,18 @@ def _closed_big_f(spec: DistributionSpec, u: float) -> float:
     return u2 * tail
 
 
-class _Counter:
-    __slots__ = ("f_evals", "big_f_evals")
-
-    def __init__(self):
-        self.f_evals = 0
-        self.big_f_evals = 0
-
-
 class ReducedIntegrand:
     """Evaluator for F(u) = u^2 I(u) plus the numeric hints the engines need.
 
     Spec-backed instances (see reduce_distribution) evaluate I from the
     family's closed form (module docstring), exact to rounding; arguments
-    below zero take the analytic extension.
+    below zero take the analytic extension. Every engine hint comes from the
+    spec: the knee is the cutoff, and the series length and tail bound follow
+    from the family and sharpness.
 
     Synthetic instances (from_function) carry an arbitrary F for engine-level
-    tests; their inner integral is undefined unless supplied.
+    tests. They have no inner integral, no knee and no series length, and
+    their tail bound is |F(n_max)|.
 
     Instances count work: f_evaluations (closed-form I(u) evaluations; F(0)
     is exactly zero and costs none) and big_f_evaluations. Counters are
@@ -121,72 +116,35 @@ class ReducedIntegrand:
         *,
         spec: DistributionSpec | None = None,
         big_f_func: Callable[[float], float] | None = None,
-        inner_func: Callable[[float], float] | None = None,
-        knee: float | None = None,
-        decay_rate: float | None = None,
-        support_end: float | None = None,
     ):
         if (spec is None) == (big_f_func is None):
             raise DomainError("provide exactly one of spec or big_f_func")
         self.spec = spec
-        self._counter = _Counter()
         self._big_f_func = big_f_func
-        self._inner_func = inner_func
-        if spec is not None:
-            self.knee = spec.cutoff
-            self.decay_rate = None if spec.family is Family.SHARP_CUTOFF else spec.sharpness
-            self.support_end = spec.cutoff if spec.family is Family.SHARP_CUTOFF else None
-        else:
-            self.knee = knee
-            self.decay_rate = decay_rate
-            self.support_end = support_end
+        self.knee = None if spec is None else spec.cutoff
+        self.f_evaluations = 0
+        self.big_f_evaluations = 0
 
     @classmethod
-    def from_function(
-        cls,
-        big_f_func: Callable[[float], float],
-        *,
-        inner_func: Callable[[float], float] | None = None,
-        knee: float | None = None,
-        decay_rate: float | None = None,
-        support_end: float | None = None,
-    ) -> "ReducedIntegrand":
-        return cls(
-            big_f_func=big_f_func,
-            inner_func=inner_func,
-            knee=knee,
-            decay_rate=decay_rate,
-            support_end=support_end,
-        )
-
-    # -- work counters -------------------------------------------------
-
-    @property
-    def f_evaluations(self) -> int:
-        return self._counter.f_evals
-
-    @property
-    def big_f_evaluations(self) -> int:
-        return self._counter.big_f_evals
+    def from_function(cls, big_f_func: Callable[[float], float]) -> "ReducedIntegrand":
+        return cls(big_f_func=big_f_func)
 
     # -- evaluation ----------------------------------------------------
 
     def inner(self, u: float) -> float:
         """I(u) = 2 int_u^inf f(t) dt."""
         if self.spec is None:
-            if self._inner_func is None:
-                raise DomainError("inner integral undefined for a synthetic integrand")
-            return self._inner_func(u)
-        self._counter.f_evals += 1
+            raise DomainError("inner integral undefined for a synthetic integrand")
+        self.f_evaluations += 1
         return _closed_inner(self.spec, u)
 
     def big_f(self, u: float) -> float:
         """F(u) = u^2 I(u); exactly zero at u = 0."""
-        self._counter.big_f_evals += 1
+        self.big_f_evaluations += 1
         if self.spec is None:
             return self._big_f_func(u)
         if u != 0.0:
-            self._counter.f_evals += 1
+            self.f_evaluations += 1
         return _closed_big_f(self.spec, u)
 
     # -- engine hints ----------------------------------------------------
@@ -202,14 +160,14 @@ class ReducedIntegrand:
     def tail_bound(self, n_max: int) -> float:
         """Bound on the neglected series tail plus integral tail past n_max."""
         edge = abs(self.big_f(float(n_max)))
-        if self.decay_rate is not None:
-            b = self.decay_rate
-            # Geometric series bound and exponential integral bound, with
-            # headroom for the slowly growing u^2 factor.
-            return 2.0 * edge * (1.0 / math.expm1(b) + 1.0 / b)
-        if self.support_end is not None and n_max >= self.support_end:
-            return 0.0
-        return edge
+        if self.spec is None:
+            return edge
+        if self.spec.family is Family.SHARP_CUTOFF:
+            return 0.0 if n_max >= self.spec.cutoff else edge
+        b = self.spec.sharpness
+        # Geometric series bound and exponential integral bound, with
+        # headroom for the slowly growing u^2 factor.
+        return 2.0 * edge * (1.0 / math.expm1(b) + 1.0 / b)
 
 
 def reduce_distribution(spec: DistributionSpec) -> ReducedIntegrand:

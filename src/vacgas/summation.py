@@ -54,6 +54,11 @@ __all__ = [
 
 _MAX_TABLE = 20
 _EPS = math.ulp(1.0)
+# Boundary-expansion stencils: step 1e-3 for F'(0), widened 4x per order.
+_BASE_STEP = 1e-3
+# The extra derivative of order 17 spans 4 * 1e-3 * 4^17 ~ 7e7, whose 37th
+# power (order 18) would overflow double precision.
+_MAX_ORDER = 17
 
 
 class Method(Enum):
@@ -217,7 +222,7 @@ def bracket_direct(
     # Snapshot the work counters before tail_bound, which evaluates F once more.
     big_f_evaluations = integrand.big_f_evaluations - g0
     distribution_evaluations = integrand.f_evaluations - f0
-    tail = integrand.tail_bound(n_max) if integrand.spec is not None else abs(series_terms[-1])
+    tail = integrand.tail_bound(n_max)
     cancellation = (_EPS + work_tol) * (abs(series_sum) + abs(integral))
     value = series_sum - integral
     plateau, plateau_note = _plateau_assessment(integrand)
@@ -254,27 +259,20 @@ def bracket_direct(
 def _stencil_coefficients(m: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """Weights a_j for F^(m)(0) ~ sum_j a_j (F(js) - F(-js)) / s^m, m odd.
 
-    Solves sum_j a_j 2 j^q / q! = [q == m] over odd q <= m exactly, giving
-    the minimal antisymmetric stencil of order O(s^2). Returns the weights
+    The minimal antisymmetric stencil of order O(s^2), p = (m + 1) / 2 points,
+    solves sum_j a_j 2 j^q / q! = [q == m] over odd q <= m. Its solution is
+    the closed form (Fornberg, Math. Comp. 51 (1988) 699)
+
+        a_j = (-1)^(p-j) m! j / ((p-j)! (p+j)!),   j = 1..p,
+
+    a ratio of integers, so Fraction holds it exactly. Returns the weights
     and sum |a_j| (roundoff amplification factor).
     """
     p = (m + 1) // 2
-    qs = [2 * i + 1 for i in range(p)]
-    rows = [
-        [Fraction(2 * j**q, math.factorial(q)) for j in range(1, p + 1)] + [Fraction(int(q == m))]
-        for q in qs
-    ]
-    # Gaussian elimination, exact.
-    for col in range(p):
-        pivot = next(r for r in range(col, p) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col]
-        rows[col] = [x / inv for x in rows[col]]
-        for r in range(p):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    weights = tuple(rows[j][p] for j in range(p))
+    fact = math.factorial
+    weights = tuple(
+        Fraction((-1) ** (p - j) * fact(m) * j, fact(p - j) * fact(p + j)) for j in range(1, p + 1)
+    )
     return weights, sum(abs(w) for w in weights)
 
 
@@ -308,29 +306,22 @@ def _odd_derivative(big_f, m: int, step: float) -> tuple[float, float, float]:
     return r2, spread, roundoff
 
 
-def bracket_euler_maclaurin(
-    integrand: ReducedIntegrand,
-    order: int = 3,
-    *,
-    base_step: float = 1e-3,
-) -> BracketResult:
+def bracket_euler_maclaurin(integrand: ReducedIntegrand, order: int = 3) -> BracketResult:
     """Bracket from boundary data: -F(0)/2 plus `order` odd-derivative terms.
 
     Odd derivatives F^(2r-1)(0) come from central finite differences with
-    exact rational stencils, base step 1e-3, Richardson-extrapolated twice.
-    The stencil step widens by 4^(r-1) with the derivative order so that
-    roundoff amplification (which grows like step^-(2r-1)) stays below the
-    term tolerances. One extra derivative beyond `order` is estimated to
-    bound truncation. Requires F and its derivatives through order 2*order+1
-    to vanish at infinity; smooth decaying occupancies qualify.
+    exact rational stencils, at a fixed base step of 1e-3 (reported as
+    base_step), Richardson-extrapolated twice. The stencil step widens by
+    4^(r-1) with the derivative order so that roundoff amplification (which
+    grows like step^-(2r-1)) stays below the term tolerances. One extra
+    derivative beyond `order` is estimated to bound truncation. order runs
+    1..17; past 17 the extra derivative's widest stencil power overflows.
+    Requires F and its derivatives through order 2*order+1 to vanish at
+    infinity; smooth decaying occupancies qualify.
     """
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order!r}")
-    if not base_step > 0.0:
-        raise DomainError(f"base_step must be positive, got {base_step!r}")
-    if order > _MAX_TABLE:
-        raise DomainError(f"order {order} exceeds the Bernoulli table size {_MAX_TABLE}")
-    table = bernoulli(min(order + 1, _MAX_TABLE))
+    if not 1 <= order <= _MAX_ORDER:
+        raise DomainError(f"order must lie in 1..{_MAX_ORDER}, got {order!r}")
+    table = bernoulli(order + 1)
 
     memo: dict[float, float] = {}
     g0 = integrand.big_f_evaluations
@@ -344,10 +335,9 @@ def bracket_euler_maclaurin(
     f_zero = big_f(0.0)
     derivs: list[float] = []
     spreads: list[float] = []
-    extra_r = order + 1 if order + 1 <= len(table) else None
-    for r in range(1, (extra_r or order) + 1):
+    for r in range(1, order + 2):
         m = 2 * r - 1
-        step = base_step * 4.0 ** (r - 1)
+        step = _BASE_STEP * 4.0 ** (r - 1)
         est, spread, roundoff = _odd_derivative(big_f, m, step)
         if spread > 0.5 * abs(est) + 1e-3 * (1.0 + abs(est)) + 1e4 * roundoff:
             raise DifferentiationError(
@@ -369,11 +359,8 @@ def bracket_euler_maclaurin(
 
     value = -0.5 * f_zero + math.fsum(terms)
     variant = -0.5 * f_zero + math.fsum(variant_terms)
-    if extra_r is not None:
-        c_next = float(table.entry(extra_r) / math.factorial(2 * extra_r))
-        truncation = abs(c_next * derivs[extra_r - 1])
-    else:
-        truncation = abs(terms[-1])
+    c_next = float(table.entry(order + 1) / math.factorial(2 * order + 2))
+    truncation = abs(c_next * derivs[order])
 
     diagnostics = {
         **_spec_diagnostics(integrand),
@@ -384,7 +371,7 @@ def bracket_euler_maclaurin(
         "sign_variant_value": variant,
         "truncation_estimate": truncation,
         "order": order,
-        "base_step": base_step,
+        "base_step": _BASE_STEP,
         "big_f_evaluations": integrand.big_f_evaluations - g0,
         "distribution_evaluations": integrand.f_evaluations - f0,
     }

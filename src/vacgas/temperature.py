@@ -17,6 +17,7 @@ them is to show that a thermal reading of the cutoff is untenable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,19 +67,19 @@ def temperature_from_affinity(
 ) -> TemperatureEstimate:
     """Temperature at which the occupancy edge would be thermal.
 
-    alpha must be negative (an attractive, decaying edge) and k_c positive.
+    alpha must be negative (an attractive, decaying edge), k_c positive; both
+    finite.
     T = k_c / (-alpha k_B) literal, or hbar c k_c / (-alpha k_B) energy.
     """
-    if alpha >= 0.0:
-        raise DomainError(f"affinity must be negative, got {alpha!r}")
-    if k_c <= 0.0:
-        raise DomainError(f"cutoff wavenumber must be positive, got {k_c!r}")
+    if not (alpha < 0.0 and math.isfinite(alpha)):
+        raise DomainError(f"affinity must be negative and finite, got {alpha!r}")
     constants = constants or make_constants()
+    omega_c = cutoff_frequency(k_c, constants)  # rejects a non-positive or non-finite k_c
     temperature = _thermal_scale(convention, constants) * k_c / (-alpha)
     return TemperatureEstimate(
         alpha=alpha,
         k_c=k_c,
-        omega_c=cutoff_frequency(k_c, constants),
+        omega_c=omega_c,
         temperature=temperature,
         convention=convention,
     )
@@ -93,7 +94,7 @@ def affinity_from_temperature(
     """Inverse of temperature_from_affinity: the alpha a thermal edge implies."""
     if temperature <= 0.0:
         raise DomainError(f"temperature must be positive, got {temperature!r}")
-    if k_c <= 0.0:
-        raise DomainError(f"cutoff wavenumber must be positive, got {k_c!r}")
+    if not (k_c > 0.0 and math.isfinite(k_c)):
+        raise DomainError(f"cutoff wavenumber must be positive and finite, got {k_c!r}")
     constants = constants or make_constants()
     return -_thermal_scale(convention, constants) * k_c / temperature

@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, formats, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import vacgas
 from vacgas import DistributionSpec, bracket_euler_maclaurin, reduce_distribution
 from vacgas.cli import run
 
+FD_25_2 = ["--dist", "fd", "--lambda", "25", "--sharpness", "2"]
 SWEEP_HEADER = (
     "d_m,lambda,bracket_value,bracket_error,pressure_pa,ideal_pressure_pa,relative_deviation"
 )
@@ -138,6 +140,66 @@ def test_sweep_fixed_mode_rejects_a_different_alpha(capsys):
     plain = capsys.readouterr().out
     assert run([*argv, "--alpha", "-50.0"]) == 0
     assert capsys.readouterr().out == plain
+
+
+def test_sweep_sharp_physical_mode(capsys):
+    argv = ["sweep", "--dist", "sharp", "--kc-physical", "1e10", "--points", "3"]
+    env = run_json(capsys, argv)
+    # a step has no affinity, so none is echoed
+    assert env["config"]["alpha"] is None
+    assert env["diagnostics"]["mode"] == "physical-kc"
+    assert len(env["results"]) == 3
+    for row in env["results"]:
+        spec = DistributionSpec.sharp(1e10 * row["d_m"] / math.pi)
+        em = bracket_euler_maclaurin(reduce_distribution(spec))
+        assert row["lambda"] == spec.cutoff
+        assert row["bracket_value"] == em.value
+        assert row["bracket_error"] == em.error_estimate
+    assert run(argv_from_config(env["config"])) == 0
+    assert json.loads(capsys.readouterr().out) == env
+
+
+def assert_exit_one(capsys, argv):
+    assert run(argv) == 1, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--dist", "fd"],
+        ["sweep", "--dist", "fd", "--kc-physical", "1e10", "--sharpness", "2"],
+        ["sweep", "--dist", "fd", "--kc-physical", "1e10", "--alpha", "5"],
+        ["sweep", "--dist", "sharp", "--kc-physical", "1e10", "--alpha", "5"],
+        ["sweep", "--dist", "fd", "--kc-physical", "1e10", "--kc-inverse-bohr"],
+        ["temperature", "--alpha", "-1"],
+        ["bracket", *FD_25_2, "--em-order", "18"],
+    ],
+    ids=[
+        "sweep-no-mode", "physical-sharpness", "physical-fd-positive-alpha",
+        "physical-sharp-alpha", "both-kc-flags", "temperature-no-kc", "em-order-18",
+    ],
+)
+def test_rejected_arguments_exit_one(capsys, argv):
+    assert_exit_one(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "--dist", "sharp", "--lambda", "inf", "--method", "direct"],
+        ["pressure", *FD_25_2, "--dmin", "inf"],
+        ["bracket", "--dist", "fd", "--lambda", "inf", "--sharpness", "2"],
+        ["bracket", "--dist", "fd", "--lambda", "25", "--sharpness", "inf", "--method", "direct"],
+        ["temperature", "--alpha", "-1", "--kc-physical", "inf"],
+        ["temperature", "--alpha", "nan", "--kc-physical", "1e10"],
+    ],
+    ids=["sharp-lambda", "dmin", "fd-lambda", "sharpness", "kc-physical", "alpha"],
+)
+def test_non_finite_inputs_exit_one(capsys, argv):
+    assert_exit_one(capsys, argv)
 
 
 def test_csv_and_json_agree_numerically(capsys):
@@ -270,7 +332,6 @@ DIST_KEYS = ["subcommand", "dist", "lambda", "sharpness"]
 DETERMINISTIC_KEYS = ["em_order", "quad_tol"]
 SAMPLING_KEYS = ["samples", "seed", "streams"]
 OUTPUT_KEYS = ["format", "out"]
-FD_25_2 = ["--dist", "fd", "--lambda", "25", "--sharpness", "2"]
 
 # (argv, the echoed config's keys in order); one case per subcommand and mode
 ROUND_TRIP_CASES = [

@@ -50,6 +50,16 @@ def test_cutoff_frequency_rejects_nonpositive_k():
         cutoff_frequency(-1.0e10)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_lengths_are_rejected(bad):
+    with pytest.raises(DomainError):
+        cutoff_frequency(bad)
+    with pytest.raises(DomainError):
+        PlateGeometry(separation_d=bad)
+    with pytest.raises(DomainError):
+        PlateGeometry(separation_d=1e-6, lateral_size_l=bad)
+
+
 def test_cutoff_frequency_custom_constants():
     toy = PhysicalConstants(hbar=1.0, c=2.0, boltzmann=3.0, bohr_radius=4.0)
     assert cutoff_frequency(5.0, toy) == 10.0

@@ -41,6 +41,18 @@ def test_cutoff_must_be_positive():
         DistributionSpec.fermi_dirac(-25.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_cutoff_and_sharpness_must_be_finite(bad):
+    with pytest.raises(DomainError):
+        DistributionSpec.sharp(bad)
+    with pytest.raises(DomainError):
+        DistributionSpec.fermi_dirac(bad, 2.0)
+    with pytest.raises(DomainError):
+        DistributionSpec.fermi_dirac(25.0, bad)
+    with pytest.raises(DomainError):
+        DistributionSpec.from_physical(Family.FERMI_DIRAC, bad, 1e-9, 1e-6)
+
+
 def test_affinity_property():
     assert FD.alpha == -50.0
     assert DistributionSpec.sharp(25.0).alpha is None

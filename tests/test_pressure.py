@@ -168,4 +168,6 @@ def test_sweep_validation():
     with pytest.raises(DomainError):
         lamoreaux_sweep(FD, 0.0, MICRON, points=2)
     with pytest.raises(DomainError):
+        lamoreaux_sweep(FD, MICRON, math.inf, points=2)
+    with pytest.raises(DomainError):
         lamoreaux_sweep(FD, MICRON, 2.0 * MICRON, points=5, k_c_physical=-1.0)

@@ -10,6 +10,7 @@ from vacgas import (
     DifferentiationError,
     DistributionSpec,
     DomainError,
+    Family,
     Method,
     ReducedIntegrand,
     SingularityError,
@@ -20,6 +21,7 @@ from vacgas import (
     eval_f_second_derivative,
     reduce_distribution,
 )
+from vacgas.summation import _stencil_coefficients
 
 # Ground truth for the Fermi-Dirac bracket at cutoff 25, sharpness 2, frozen
 # from a 50-digit arbitrary-precision evaluation of the defining sum and
@@ -245,10 +247,80 @@ def test_em_order_and_table_validation(fd_spec):
     with pytest.raises(DomainError):
         bracket_euler_maclaurin(integrand, order=0)
     with pytest.raises(DomainError):
-        # the Bernoulli table is capped at 20 entries
+        # past the Bernoulli table's 20 entries
         bracket_euler_maclaurin(integrand, order=21)
     with pytest.raises(DomainError):
-        bracket_euler_maclaurin(integrand, base_step=0.0)
+        # order 17 is the cap: at 18 the widest stencil's step power overflows
+        bracket_euler_maclaurin(integrand, order=18)
+
+
+def test_stencil_weights_solve_the_moment_conditions():
+    # sum_j a_j 2 j^q / q! = [q == m] for every odd q <= m, exactly
+    for m in range(1, 36, 2):
+        weights, amp = _stencil_coefficients(m)
+        assert len(weights) == (m + 1) // 2
+        for q in range(1, m + 1, 2):
+            moment = sum(
+                a * Fraction(2 * j**q, math.factorial(q)) for j, a in enumerate(weights, start=1)
+            )
+            assert moment == int(q == m), (m, q)
+        assert amp == sum(abs(a) for a in weights)
+
+
+# float.hex of value, error_estimate and each odd derivative. The stencil
+# weights are exact rationals, so however they are computed every bit must hold.
+EM_GOLDEN_BITS = {
+    ("fd", 25.0, 2.0, 3): (
+        "-0x1.11111110ee9b5p-6", "0x1.5c1d08094c2b8p-41",
+        ("0x1.9000000000000p-58", "-0x1.8000000000732p+3", "-0x1.00c5bac524300p-26"),
+    ),
+    ("fd", 25.0, 0.8, 3): (
+        "-0x1.1111110805676p-6", "0x1.c8d16a119e848p-42",
+        ("0x0.0p+0", "-0x1.7ffffff2b88dap+3", "0x1.777ea4778005cp-25"),
+    ),
+    ("fd", 36000.0, 1.0 / 36000.0, 3): (
+        "-0x1.8f4164e58d778p-7", "0x1.0ffe55a2ea787p-30",
+        ("0x0.0p+0", "-0x1.18b9fb82d60b2p+3", "-0x1.7dc2422a07f8ep-17"),
+    ),
+    ("sharp", 36000.0, None, 3): (
+        "-0x1.1111103072f1ap-6", "0x1.66497c269edc4p-30",
+        ("0x0.0p+0", "-0x1.80000006708a0p+3", "-0x1.a7078e242c03ap-16"),
+    ),
+    ("mb", 10.0, 1.5, 3): (
+        "-0x1.5da4cf1aceed2p+15", "0x1.1f533dc07f8c1p+10",
+        ("-0x1.3455555555555p-36", "-0x1.2b49983c1db5ep+25", "-0x1.1894feb9a621bp+28"),
+    ),
+    ("fd", 25.0, 0.8, 1): ("0x0.0p+0", "0x1.111111079faebp-6", ("0x0.0p+0",)),
+    ("fd", 25.0, 0.8, 17): (
+        "-0x1.111111080f00bp-6", "0x1.03303a7428a7dp-41",
+        (
+            "0x0.0p+0", "-0x1.7ffffff2b88dap+3", "0x1.777ea4778005cp-25",
+            "-0x1.61031cb6e4bb4p-23", "0x1.070604ef81e67p-24", "0x1.20fe0df885671p-20",
+            "-0x1.efaee4d337ac6p-17", "-0x1.349b687743ff4p-38", "0x1.4df9132ed1c3fp-76",
+            "-0x1.096b74d726df1p-120", "0x1.ae4fc308aeaeep-173", "-0x1.626aaf5715d16p-233",
+            "0x1.27bf978611a14p-301", "-0x1.f301e59db83dfp-378", "0x1.a8e6fbcebe5b9p-462",
+            "-0x1.6cb2512f5e79ap-554", "0x1.3b32003b51973p-654",
+        ),
+    ),
+    ("synthetic", None, None, 3): (
+        "-0x1.7f97f97c28975p-4", "0x1.6c039a39820fcp-11",
+        ("0x1.ffffffffffffep-1", "-0x1.800000000215bp+2", "0x1.dfffff35127c0p+5"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EM_GOLDEN_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_em_golden_bits(case):
+    family, lam, b, order = case
+    if family == "synthetic":
+        integrand = ReducedIntegrand.from_function(lambda u: u * math.exp(-u * u))
+    else:
+        integrand = reduce_distribution(DistributionSpec(Family(family), lam, b))
+    result = bracket_euler_maclaurin(integrand, order=order)
+    value, error, derivs = EM_GOLDEN_BITS[case]
+    assert result.value.hex() == value
+    assert result.error_estimate.hex() == error
+    assert tuple(d.hex() for d in result.diagnostics["odd_derivatives_at_zero"]) == derivs
 
 
 def test_em_oscillatory_integrand_refuses():

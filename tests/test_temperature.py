@@ -87,6 +87,16 @@ def test_domain_validation(k_bohr):
         affinity_from_temperature(-300.0, k_bohr)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_cutoff_wavenumber_is_rejected(bad):
+    with pytest.raises(DomainError):
+        temperature_from_affinity(-1.0, bad)
+    with pytest.raises(DomainError):
+        affinity_from_temperature(300.0, bad)
+    with pytest.raises(DomainError):
+        temperature_from_affinity(-bad, 1e10)
+
+
 def test_edge_is_thermal_inflection(k_bohr):
     # the decay length implied by the estimate reproduces a Fermi-Dirac edge
     # whose curvature vanishes exactly at the cutoff
