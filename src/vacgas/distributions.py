@@ -226,10 +226,7 @@ def check_cutoff_compliance(spec: DistributionSpec, epsilon: float = 0.01) -> Co
     all_f = np.concatenate([plateau_f, decay_f])
     range_ok = bool(np.all(np.isfinite(all_f)) and np.all((all_f >= 0.0) & (all_f <= 1.0)))
 
-    pairs = tuple(
-        (float(u), float(f))
-        for u, f in zip(np.concatenate([plateau_u, decay_u]), all_f)
-    )
+    pairs = tuple(zip(np.concatenate([plateau_u, decay_u]).tolist(), all_f.tolist()))
     return ComplianceReport(
         spec=spec,
         epsilon=epsilon,

@@ -10,9 +10,14 @@ Sampling is a plain uniform proposal over the box [0, u_hi]^3 with u_hi
 covering the occupied range; the estimator is box_volume * mean(w) with
 w(k) = f(|k|) k_z^2 / |k|.
 
-Streams are mixed Philox counters keyed (seed, stream index), merged in
-stream order, so results are bit-reproducible for a given configuration
-regardless of VACGAS_THREADS.
+Streams are Philox counters keyed (seed, stream index). Philox is
+counter-based: one counter step yields four doubles, so a block of rows
+(three doubles each) that starts at a multiple of 4 can be drawn on its own
+by advancing the counter. Each 10^6-row chunk of a stream fills one weight
+array in 2^16-row blocks on up to VACGAS_THREADS threads (bounded by the CPU
+count). A block's values do not depend on the thread that draws it, and the
+sums over each chunk and stream are merged in a fixed order, so results are
+bit-reproducible for a given configuration regardless of VACGAS_THREADS.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
 ]
 
 _CHUNK = 1_000_000
+_BLOCK = 1 << 16
 _MAX_STREAMS = 1024
 _DECAY_DECADES = 20.0
 
@@ -103,35 +109,32 @@ def photon_flux_density(spec: DistributionSpec, k) -> float:
     return float(eval_f(spec, r)) * kz / r
 
 
-def _stream_partials(spec: DistributionSpec, edge: float, seed: int, stream: int, count: int):
-    """(sum w, sum w^2) over `count` samples of one stream.
+def _fill_block(
+    spec: DistributionSpec, edge: float, seed: int, stream: int, start: int, w: np.ndarray
+) -> None:
+    """Write the weights of rows start .. start + len(w) of one stream into w.
 
     The sampled weight is the pressure integrand f(|k|) k_z^2 / |k|: the
     strike rate photon_flux_density times the k_z momentum kick per strike.
+    `start` must be a multiple of 4 so the block opens on a counter boundary.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    sums: list[float] = []
-    sums_sq: list[float] = []
-    left = count
-    while left > 0:
-        n = min(left, _CHUNK)
-        pts = rng.random((n, 3)) * edge
-        r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        w = np.zeros(n)
-        mask = r > 0.0
-        w[mask] = eval_f(spec, r[mask]) * pts[mask, 2] ** 2 / r[mask]
-        sums.append(float(np.sum(w)))
-        sums_sq.append(float(np.sum(w * w)))
-        left -= n
-    return math.fsum(sums), math.fsum(sums_sq)
+    bit_gen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bit_gen.advance(3 * start // 4)
+    pts = np.random.Generator(bit_gen).random((len(w), 3))
+    pts *= edge
+    r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    np.multiply(eval_f(spec, r), np.square(pts[:, 2]), out=w)
+    np.divide(w, r, out=w)
+    w[r == 0.0] = 0.0
 
 
-def _worker_cap() -> int:
-    raw = os.environ.get("VACGAS_THREADS", "1")
+def _worker_count() -> int:
+    """VACGAS_THREADS (1 if unset or invalid), bounded by the CPU count."""
     try:
-        return max(1, int(raw))
+        requested = int(os.environ.get("VACGAS_THREADS", "1"))
     except ValueError:
-        return 1
+        requested = 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def estimate_p_in(config: McConfig) -> McEstimate:
@@ -148,20 +151,20 @@ def estimate_p_in(config: McConfig) -> McEstimate:
         for s in range(config.stream_count)
     ]
 
-    workers = min(_worker_cap(), config.stream_count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(
-                    lambda s: _stream_partials(spec, edge, config.seed, s, counts[s]),
-                    range(config.stream_count),
-                )
-            )
-    else:
-        partials = [
-            _stream_partials(spec, edge, config.seed, s, counts[s])
-            for s in range(config.stream_count)
-        ]
+    workers = _worker_count()
+    partials = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for stream, count in enumerate(counts):
+            sums: list[float] = []
+            sums_sq: list[float] = []
+            for chunk_start in range(0, count, _CHUNK):
+                w = np.empty(min(_CHUNK, count - chunk_start))
+                blocks = [(chunk_start + b, w[b : b + _BLOCK]) for b in range(0, len(w), _BLOCK)]
+                run = pool.map if workers > 1 and len(blocks) > 1 else map
+                list(run(lambda block: _fill_block(spec, edge, config.seed, stream, *block), blocks))
+                sums.append(float(np.sum(w)))
+                sums_sq.append(float(np.sum(w * w)))
+            partials.append((math.fsum(sums), math.fsum(sums_sq)))
 
     total_w = math.fsum(p[0] for p in partials)
     total_w2 = math.fsum(p[1] for p in partials)

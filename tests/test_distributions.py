@@ -315,6 +315,24 @@ def test_vector_compliance_matches_scalar_loop(spec):
     assert np.array_equal(got[:, 1].view(np.int64), fs.view(np.int64))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DistributionSpec.sharp(25.0),
+        DistributionSpec.fermi_dirac(25.0, 2.0),
+        DistributionSpec.bose_einstein(25.0, 2.0),
+        DistributionSpec.bose_einstein(0.8, 5e-324),
+    ],
+    ids=["sharp", "fd", "be", "be-pole-hits"],
+)
+def test_compliance_pairs_are_python_floats(spec):
+    report = check_cutoff_compliance(spec)
+    assert all(type(u) is float and type(f) is float for u, f in report.diagnostics)
+    _, _, _, us, fs = _scalar_compliance(spec)
+    # repr, because NaN pole values never compare equal
+    assert repr(report.diagnostics) == repr(tuple((float(u), float(f)) for u, f in zip(us, fs)))
+
+
 def test_pole_hitting_grid_records_nan():
     report = check_cutoff_compliance(DistributionSpec.bose_einstein(0.8, 5e-324))
     nans = [u for u, f in report.diagnostics if math.isnan(f)]

@@ -1,6 +1,8 @@
 """Monte Carlo estimate of the inside-pressure integral."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,13 +99,73 @@ def test_different_seeds_decorrelate():
 
 
 def test_stream_split_is_deterministic(monkeypatch):
-    config = McConfig(FD, samples=1_000_000, seed=5, stream_count=4)
-    monkeypatch.setenv("VACGAS_THREADS", "4")
-    threaded = estimate_p_in(config)
-    monkeypatch.setenv("VACGAS_THREADS", "1")
-    serial = estimate_p_in(config)
-    assert threaded.mean == serial.mean
-    assert threaded.standard_error == serial.standard_error
+    # stream_count 1 checks the split of one stream into blocks across threads
+    for streams in (4, 1):
+        config = McConfig(FD, samples=1_000_000, seed=5, stream_count=streams)
+        monkeypatch.setenv("VACGAS_THREADS", "4")
+        threaded = estimate_p_in(config)
+        monkeypatch.setenv("VACGAS_THREADS", "1")
+        serial = estimate_p_in(config)
+        assert threaded.mean == serial.mean
+        assert threaded.standard_error == serial.standard_error
+
+
+# (spec, samples, seed, stream_count, mean.hex(), standard_error.hex()). The
+# bits were recorded from the per-stream kernel that preceded the block
+# kernel; the counts cross the 2^16-row block and 10^6-row chunk boundaries
+# unevenly, and 1000 samples over 1024 streams leaves most streams with 0 or
+# 1 sample.
+GOLDEN = [
+    (SHARP_UNIT, 1000, 3, 1024, "0x1.0e74a81044fd1p-3", "0x1.b66711702888cp-8"),
+    (FD, 2_345_679, 11, 3, "0x1.922747dace6bcp+15", "0x1.7d5e29edebb0cp+6"),
+    (DistributionSpec.sharp(50.0), 65_537, 8, 1, "0x1.8e239440b772bp+19", "0x1.44bf2c6575832p+12"),
+    (DistributionSpec.fermi_dirac(50.0, 1.0), 65_537, 8, 1, "0x1.921bd2aba0593p+19", "0x1.1c35c29adac29p+13"),
+    (DistributionSpec.sharp(50.0), 1_000_003, 8, 2, "0x1.8f6d79b9bbebep+19", "0x1.4e1ec1b384017p+10"),
+    (DistributionSpec.fermi_dirac(50.0, 1.0), 1_000_003, 8, 2, "0x1.9337bbe9ff7e4p+19", "0x1.24be8ba8708ddp+11"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "spec, samples, seed, streams, mean_hex, se_hex",
+    GOLDEN,
+    ids=["sharp1-1024streams", "fd-3streams", "sharp50-65537", "fd50-65537", "sharp50-1e6+3", "fd50-1e6+3"],
+)
+def test_golden_bits(monkeypatch, threads, spec, samples, seed, streams, mean_hex, se_hex):
+    monkeypatch.setenv("VACGAS_THREADS", threads)
+    est = estimate_p_in(McConfig(spec, samples=samples, seed=seed, stream_count=streams))
+    assert (est.mean.hex(), est.standard_error.hex()) == (mean_hex, se_hex)
+
+
+def test_worker_count_bounded_by_cpus(monkeypatch):
+    monkeypatch.setenv("VACGAS_THREADS", "512")
+    assert mc_module._worker_count() == min(512, os.cpu_count() or 1)
+    monkeypatch.setattr(mc_module.os, "cpu_count", lambda: 4)
+    assert mc_module._worker_count() == 4
+    monkeypatch.setattr(mc_module.os, "cpu_count", lambda: None)
+    assert mc_module._worker_count() == 1
+    monkeypatch.setattr(mc_module.os, "cpu_count", lambda: 64)
+    monkeypatch.setenv("VACGAS_THREADS", "3")
+    assert mc_module._worker_count() == 3
+    for raw in ("0", "-2", "many"):
+        monkeypatch.setenv("VACGAS_THREADS", raw)
+        assert mc_module._worker_count() == 1
+    monkeypatch.delenv("VACGAS_THREADS")
+    assert mc_module._worker_count() == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_working_set_bounded(monkeypatch, threads):
+    # tracemalloc sees numpy's data buffers; one 10^6-row chunk of weights is 8 MB
+    monkeypatch.setenv("VACGAS_THREADS", threads)
+    config = McConfig(FD, samples=2_000_000, seed=4, stream_count=2)
+    tracemalloc.start()
+    try:
+        estimate_p_in(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_standard_error_shrinks_with_root_n():
