@@ -134,10 +134,11 @@ def eval_f(spec: DistributionSpec, u):
         out = np.where(uu < lam, 1.0, np.where(uu > lam, 0.0, 0.5))
     elif fam is Family.FERMI_DIRAC:
         z = spec.sharpness * (uu - lam)
-        # Two-sided logistic form, overflow free.
+        # Two-sided logistic form, overflow free: e^-z / (1 + e^-z) above
+        # the cutoff, 1 / (1 + e^z) below it.
         with np.errstate(over="ignore"):
             ez = np.exp(-np.abs(z))
-        out = np.where(z >= 0.0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
+        out = np.where(z >= 0.0, ez, 1.0) / (1.0 + ez)
     elif fam is Family.MAXWELL_BOLTZMANN:
         out = np.exp(np.minimum(spec.sharpness * (lam - uu), _EXP_MAX))
     elif fam is Family.BOSE_EINSTEIN:

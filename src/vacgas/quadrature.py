@@ -1,19 +1,22 @@
 """Adaptive quadrature used by bracket_direct's integral piece.
 
 One algorithm, QUADPACK's QAGS (Piessens et al., QUADPACK, 1983), with a
-relative-tolerance interface, evaluation counting and a uniform error policy
+relative and an absolute tolerance, evaluation counting and a uniform error policy
 (ConvergenceError when the estimate cannot be trusted).
 
 QAGS starts with one 21-point Gauss-Kronrod step (dqk21) over the whole
 range and stops there when dqagse's own test accepts it. That first step runs
 here in plain Python, with QUADPACK's nodes, weights, summation order and
-error formula, so an accepted range returns the value and error QUADPACK
-would return, bit for bit, without importing scipy. It settles nearly every
-panel of bracket_direct. A range it does not settle (one QAGS must bisect,
-such as a sliver knee panel whose F values carry cancellation noise), an
-infinite range, or a request outside the first step's domain
-(limit < 2, rel_tol below QUADPACK's floor) goes to scipy.integrate.quad,
-which is imported on that first call.
+error formula, so a range that dqagse's test accepts returns the value and
+error QUADPACK would return, bit for bit, without importing scipy. It
+settles nearly every panel of bracket_direct. abs_tol is QUADPACK's epsabs;
+a first step whose error estimate is within it is accepted as well, also
+when that estimate is all rounding noise (abserr == resasc, which dqagse
+would bisect). That settles a sliver knee panel, whose F values are
+cancellation noise at the scale of the whole integrand. A range the first step does not settle, an
+infinite range, or a request outside the first step's domain (limit < 2,
+rel_tol below QUADPACK's floor) goes to scipy.integrate.quad, which is
+imported on that first call.
 """
 
 from __future__ import annotations
@@ -133,6 +136,7 @@ def integrate(
     b: float,
     *,
     rel_tol: float = 1e-10,
+    abs_tol: float = 0.0,
     limit: int = 200,
 ) -> QuadResult:
     """Integrate func over [a, b] adaptively; infinite limits are allowed.
@@ -145,10 +149,11 @@ def integrate(
     if a < b and math.isfinite(a) and math.isfinite(b) and limit >= 2 and rel_tol >= _MIN_REL_TOL:
         result, abserr, resasc = _qk21(func, a, b)
         spent = 21
-        # dqagse's test after its first step, with epsabs = 0. Its roundoff
-        # flag (ier = 2) needs abserr > rel_tol*|result|, so it never
-        # coincides with acceptance.
-        if (abserr <= rel_tol * abs(result) and abserr != resasc) or abserr == 0.0:
+        # dqagse's test after its first step, its abserr == 0 clause widened
+        # to abserr <= abs_tol (the same test at the default abs_tol = 0).
+        # Its roundoff flag (ier = 2) needs abserr > rel_tol*|result|, so it
+        # never coincides with the relative acceptance.
+        if (abserr <= rel_tol * abs(result) and abserr != resasc) or abserr <= abs_tol:
             return QuadResult(value=result, error=abserr, evaluations=spent)
 
     from scipy import integrate as scipy_integrate
@@ -157,7 +162,7 @@ def integrate(
         func,
         a,
         b,
-        epsabs=0.0,
+        epsabs=abs_tol,
         epsrel=rel_tol,
         limit=limit,
         full_output=1,
@@ -166,7 +171,7 @@ def integrate(
     neval = spent + int(info.get("neval", 0))
     if len(out) > 3:
         # Warning path: accept if the self-reported error is still small.
-        budget = rel_tol * abs(value) * 100.0 + 1e-250
+        budget = max(abs_tol, rel_tol * abs(value)) * 100.0 + 1e-250
         if not (math.isfinite(value) and abserr <= budget):
             raise ConvergenceError(
                 f"quadrature failed on [{a!r}, {b!r}]: {out[3]}",

@@ -46,50 +46,80 @@ _POLE_WINDOW = 1e-6
 _EXP_MAX = 709.0
 
 
-def _inner_parts(spec: DistributionSpec, u: float) -> tuple[bool, float]:
-    """Closed-form I(u) = 2 int_u^inf f(t) dt, split as (linear, tail).
+def _kernels(spec: DistributionSpec) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """Closed-form (I, F) for the spec's family, with its constants bound once.
 
-    I(u) = 2 (lambda - u) + tail when linear is true (Fermi-Dirac and sharp
-    below the cutoff), I(u) = tail otherwise. Raises SingularityError inside
-    the Bose-Einstein pole window (u < lambda + _POLE_WINDOW), where the
-    defining integral diverges.
+    Fermi-Dirac and sharp split I below the cutoff as 2 (lambda - u) + tail
+    and assemble F = 2 lambda u^2 + u^2 (tail - 2 u), which is exactly zero
+    at u = 0; the other families return F(0) = 0 without evaluating I. MB
+    raises DomainError where exp overflows, BE raises SingularityError inside
+    the pole window (u < lambda + _POLE_WINDOW), where I diverges.
     """
     lam = spec.cutoff
+    two_lam = 2.0 * lam
     fam = spec.family
     if fam is Family.SHARP_CUTOFF:
-        return u < lam, 0.0
+
+        def inner(u: float) -> float:
+            return 2.0 * (lam - u) if u < lam else 0.0
+
+        def big_f(u: float) -> float:
+            if u < lam:
+                u2 = u * u
+                return two_lam * u2 - u2 * (2.0 * u)
+            return 0.0
+
+        return inner, big_f
+
     b = spec.sharpness
+    nb = -b
+    c = 2.0 / b
+    exp = math.exp
     if fam is Family.FERMI_DIRAC:
         # softplus(z) = max(z, 0) + log1p(exp(-|z|))
-        return u < lam, (2.0 / b) * math.log1p(math.exp(-b * abs(u - lam)))
+        log1p = math.log1p
+
+        def inner(u: float) -> float:
+            tail = c * log1p(exp(nb * abs(u - lam)))
+            return 2.0 * (lam - u) + tail if u < lam else tail
+
+        def big_f(u: float) -> float:
+            tail = c * log1p(exp(nb * abs(u - lam)))
+            u2 = u * u
+            if u < lam:
+                return two_lam * u2 + u2 * (tail - 2.0 * u)
+            return u2 * tail
+
+        return inner, big_f
+
     if fam is Family.MAXWELL_BOLTZMANN:
-        z = b * (lam - u)
-        if z > _EXP_MAX:
-            raise DomainError(
-                f"Maxwell-Boltzmann occupancy overflows double precision at u = {u!r} "
-                f"(sharpness*(cutoff - u) = {z!r})"
-            )
-        return False, (2.0 / b) * math.exp(z)
-    if u < lam + _POLE_WINDOW:
-        raise SingularityError(
-            f"inner integral from u = {u!r} crosses the Bose-Einstein pole", pole_location=lam
-        )
-    return False, -(2.0 / b) * math.log(-math.expm1(-b * (u - lam)))
 
+        def inner(u: float) -> float:
+            z = b * (lam - u)
+            if z > _EXP_MAX:
+                raise DomainError(
+                    f"Maxwell-Boltzmann occupancy overflows double precision at u = {u!r} "
+                    f"(sharpness*(cutoff - u) = {z!r})"
+                )
+            return c * exp(z)
 
-def _closed_inner(spec: DistributionSpec, u: float) -> float:
-    linear, tail = _inner_parts(spec, u)
-    return 2.0 * (spec.cutoff - u) + tail if linear else tail
+    else:
+        edge = lam + _POLE_WINDOW
+        nc = -c
+        log, expm1 = math.log, math.expm1
 
+        def inner(u: float) -> float:
+            if u < edge:
+                raise SingularityError(
+                    f"inner integral from u = {u!r} crosses the Bose-Einstein pole",
+                    pole_location=lam,
+                )
+            return nc * log(-expm1(nb * (u - lam)))
 
-def _closed_big_f(spec: DistributionSpec, u: float) -> float:
-    if u == 0.0:
-        return 0.0
-    linear, tail = _inner_parts(spec, u)
-    u2 = u * u
-    if linear:
-        return 2.0 * spec.cutoff * u2 + u2 * (tail - 2.0 * u)
-    return u2 * tail
+    def big_f(u: float) -> float:
+        return 0.0 if u == 0.0 else u * u * inner(u)
+
+    return inner, big_f
 
 
 class ReducedIntegrand:
@@ -120,7 +150,7 @@ class ReducedIntegrand:
         if (spec is None) == (big_f_func is None):
             raise DomainError("provide exactly one of spec or big_f_func")
         self.spec = spec
-        self._big_f_func = big_f_func
+        self._inner, self._big_f = (None, big_f_func) if spec is None else _kernels(spec)
         self.knee = None if spec is None else spec.cutoff
         self.f_evaluations = 0
         self.big_f_evaluations = 0
@@ -136,16 +166,14 @@ class ReducedIntegrand:
         if self.spec is None:
             raise DomainError("inner integral undefined for a synthetic integrand")
         self.f_evaluations += 1
-        return _closed_inner(self.spec, u)
+        return self._inner(u)
 
     def big_f(self, u: float) -> float:
         """F(u) = u^2 I(u); exactly zero at u = 0."""
         self.big_f_evaluations += 1
-        if self.spec is None:
-            return self._big_f_func(u)
-        if u != 0.0:
+        if u != 0.0 and self.spec is not None:
             self.f_evaluations += 1
-        return _closed_big_f(self.spec, u)
+        return self._big_f(u)
 
     # -- engine hints ----------------------------------------------------
 
@@ -183,11 +211,11 @@ def inner_integral(spec: DistributionSpec, u: float) -> float:
     """
     if u < 0.0:
         raise DomainError(f"u must be nonnegative, got {u!r}")
-    return _closed_inner(spec, u)
+    return _kernels(spec)[0](u)
 
 
 def reduced_big_f(spec: DistributionSpec, u: float) -> float:
     """F(u) = u^2 I(u); the one-dimensional summand of the mode comparison."""
     if u < 0.0:
         raise DomainError(f"u must be nonnegative, got {u!r}")
-    return _closed_big_f(spec, u)
+    return _kernels(spec)[1](u)

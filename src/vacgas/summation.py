@@ -103,7 +103,7 @@ def bernoulli(r_max: int) -> BernoulliTable:
     return BernoulliTable(coefficients=tuple(abs(b[2 * r]) for r in range(1, r_max + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BracketResult:
     value: float
     method: Method
@@ -186,6 +186,10 @@ def bracket_direct(
     series_terms = [integrand.big_f(float(n)) for n in range(1, n_max + 1)]
     series_sum = math.fsum(series_terms)
 
+    # QUADPACK's epsabs per panel: n_max panels at this floor add at most
+    # eps*|series_sum|, which the cancellation term already covers. It lets
+    # a sliver knee panel, all rounding noise, settle on its first step.
+    abs_tol = _EPS * abs(series_sum) / n_max
     knee = integrand.knee
     panel_values: list[float] = []
     quad_err = 0.0
@@ -194,7 +198,9 @@ def bracket_direct(
     def run_panel(lo: float, hi: float) -> None:
         nonlocal quad_err, panels
         try:
-            q = quadrature.integrate(integrand.big_f, lo, hi, rel_tol=work_tol, limit=100)
+            q = quadrature.integrate(
+                integrand.big_f, lo, hi, rel_tol=work_tol, abs_tol=abs_tol, limit=100
+            )
         except ConvergenceError as exc:
             exc.diagnostics.update(
                 {"series_sum": series_sum, "panel": (lo, hi), "partial_integral": math.fsum(panel_values)}

@@ -338,3 +338,28 @@ def test_pole_hitting_grid_records_nan():
     nans = [u for u, f in report.diagnostics if math.isnan(f)]
     assert len(nans) > 1 and min(nans) >= 0.3 - 1e-12
     assert not report.passes_range
+
+
+def _two_division_logistic(z):
+    """The Fermi-Dirac form with one division per branch, as a reference."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ez = np.exp(-np.abs(z))
+        return np.where(z >= 0.0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
+
+
+def test_fd_single_division_is_bitwise_the_two_division_form():
+    rng = np.random.default_rng(2026)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 745.0, -745.0, 745.2, -745.2,
+               5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 37.0, -37.0]
+    z = np.concatenate(
+        [rng.normal(0.0, 30.0, 100_000), rng.uniform(-800.0, 800.0, 100_000), special]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        ez = np.exp(-np.abs(z))
+        single = np.where(z >= 0.0, ez, 1.0) / (1.0 + ez)
+    assert np.array_equal(single.view(np.uint64), _two_division_logistic(z).view(np.uint64))
+    # eval_f is that expression at z = sharpness * (u - cutoff)
+    spec = DistributionSpec.fermi_dirac(25.0, 2.0)
+    u = np.concatenate([rng.uniform(-400.0, 450.0, 100_000), [25.0, math.inf, -math.inf]])
+    expected = _two_division_logistic(spec.sharpness * (u - spec.cutoff))
+    assert np.array_equal(eval_f(spec, u).view(np.uint64), expected.view(np.uint64))

@@ -87,3 +87,13 @@ def test_lazy_names_stay_visible():
         assert vars(vacgas)["estimate_p_in"] is vacgas.montecarlo.estimate_p_in
     """
     assert "numpy" in loaded_after([], extra)
+
+
+def test_sliver_knee_panels_load_no_scipy():
+    # sharp cutoffs just above an integer leave a sliver knee panel whose F
+    # values are rounding noise; it settles on the first Gauss-Kronrod step
+    runs = [
+        ["bracket", "--dist", "sharp", "--lambda", lam, "--method", "direct"]
+        for lam in ("10.000000001", "50.00001", "91.00003988515027")
+    ]
+    assert loaded_after(runs) == []

@@ -77,3 +77,20 @@ def test_unsettled_panel_falls_back_to_quadpack():
     result = integrate(func, 49.0, 50.0, rel_tol=1e-10, limit=100)
     assert (result.value, result.error) == (value, error)
     assert result.evaluations == 21 + neval
+
+
+def test_abs_tol_is_quadpacks_epsabs():
+    func = reduce_distribution(DistributionSpec.sharp(49.8633)).big_f
+    first = integrate(func, 49.0, 50.0, rel_tol=1e-10, abs_tol=1e300)
+    assert first.evaluations == 21
+    # a first step within abs_tol is accepted as it stands
+    settled = integrate(func, 49.0, 50.0, rel_tol=1e-10, abs_tol=first.error)
+    assert (settled.value, settled.error, settled.evaluations) == (first.value, first.error, 21)
+    # below it QAGS bisects, stopping at max(abs_tol, rel_tol*|value|)
+    abs_tol = first.error * 1e-3
+    value, error, info = scipy_integrate.quad(
+        func, 49.0, 50.0, epsabs=abs_tol, epsrel=1e-10, limit=200, full_output=1
+    )[:3]
+    result = integrate(func, 49.0, 50.0, rel_tol=1e-10, abs_tol=abs_tol)
+    assert (result.value, result.error, result.evaluations) == (value, error, 21 + info["neval"])
+    assert error <= abs_tol < first.error

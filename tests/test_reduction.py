@@ -259,3 +259,110 @@ def test_mb_overflow_is_a_domain_error():
     with pytest.raises(DomainError):
         inner_integral(mb, 1.0)
     assert inner_integral(mb, 50.0) == pytest.approx(math.exp(700.0), rel=1e-12)
+
+
+# -- golden bits of the closed forms ---------------------------------------------
+
+# (u, float.hex of I(u), float.hex of F(u)) per spec, on a grid through u < 0,
+# u = 0, the cutoff and one ulp either side of it. An exception class stands
+# for a raise. F(0) is exactly zero without evaluating I, even where I(0)
+# overflows or sits in the pole window.
+GRID_BITS = {
+    ("fd", 25.0, 2.0): (
+        (-0.001, "0x1.9004189374bc7p+5", "0x1.a3727a34be3c7p-15"),
+        (0.0, "0x1.9000000000000p+5", "0x0.0p+0"),
+        (7.0, "0x1.2000000000000p+5", "0x1.b900000000000p+10"),
+        (24.999999999999996, "0x1.62e42fefa3a0fp-1", "0x1.b1378c84073c0p+8"),
+        (25.0, "0x1.62e42fefa39efp-1", "0x1.b1378c84073b8p+8"),
+        (25.000000000000004, "0x1.62e42fefa39cfp-1", "0x1.b1378c8407394p+8"),
+        (28.0, "0x1.447e35674b30ep-9", "0x1.f0e141c62b22dp+0"),
+    ),
+    ("mb", 10.0, 1.5): (
+        (-0.001, "0x1.0a6ec3152ed78p+22", "0x1.175ff94561a9bp+2"),
+        (0.0, "0x1.0a088751e1c5ap+22", "0x0.0p+0"),
+        (7.0, "0x1.e01763d2d28e2p+6", "0x1.6f91e86d6934dp+12"),
+        (9.999999999999998, "0x1.5555555555565p+0", "0x1.0aaaaaaaaaab6p+7"),
+        (10.0, "0x1.5555555555555p+0", "0x1.0aaaaaaaaaaaap+7"),
+        (10.000000000000002, "0x1.5555555555545p+0", "0x1.0aaaaaaaaaaa0p+7"),
+        (13.0, "0x1.e55c05e1d0574p-7", "0x1.4069bfe21289ap+1"),
+        (-500.0, DomainError, DomainError),
+    ),
+    ("mb", 400.0, 2.0): (
+        (-0.001, DomainError, DomainError),
+        (0.0, DomainError, "0x0.0p+0"),
+        (1.0, DomainError, DomainError),
+        (399.99999999999994, "0x1.0000000000200p+0", "0x1.388000000026fp+17"),
+        (400.0, "0x1.0000000000000p+0", "0x1.3880000000000p+17"),
+        (400.00000000000006, "0x1.ffffffffffc00p-1", "0x1.387fffffffd91p+17"),
+        (403.0, "0x1.44e51f113d4d6p-9", "0x1.9292587537f1ep+8"),
+    ),
+    ("sharp", 50.0, None): (
+        (-0.001, "0x1.90020c49ba5e3p+6", "0x1.a37054734137ap-14"),
+        (0.0, "0x1.9000000000000p+6", "0x0.0p+0"),
+        (7.0, "0x1.5800000000000p+6", "0x1.0760000000000p+12"),
+        (49.99999999999999, "0x1.0000000000000p-46", "0x1.0000000000000p-35"),
+        (50.0, "0x0.0p+0", "0x0.0p+0"),
+        (50.00000000000001, "0x0.0p+0", "0x0.0p+0"),
+        (53.0, "0x0.0p+0", "0x0.0p+0"),
+    ),
+    ("be", 25.0, 2.0): (
+        (-0.001, SingularityError, SingularityError),
+        (0.0, SingularityError, "0x0.0p+0"),
+        (25.0, SingularityError, SingularityError),
+        (25.000000000000004, SingularityError, SingularityError),
+        (28.0, "0x1.454c5ff2a76bbp-9", "0x1.f21cf2eb905cep+0"),
+    ),
+}
+
+
+def _bits(fn, u):
+    try:
+        return fn(u).hex()
+    except (DomainError, SingularityError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("case", list(GRID_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_closed_form_golden_bits(case):
+    family, lam, b = case
+    spec = DistributionSpec(Family(family), lam, b)
+    integrand = reduce_distribution(spec)
+    for u, inner, big_f in GRID_BITS[case]:
+        assert (_bits(integrand.inner, u), _bits(integrand.big_f, u)) == (inner, big_f), u
+        if u >= 0.0:
+            assert _bits(lambda x: inner_integral(spec, x), u) == inner, u
+            assert _bits(lambda x: reduced_big_f(spec, x), u) == big_f, u
+
+
+@pytest.mark.parametrize(
+    "spec,u,exc,message",
+    [
+        (
+            DistributionSpec.maxwell_boltzmann(400.0, 2.0), 1.0, DomainError,
+            "Maxwell-Boltzmann occupancy overflows double precision at u = 1.0 "
+            "(sharpness*(cutoff - u) = 798.0)",
+        ),
+        (
+            DistributionSpec.maxwell_boltzmann(10.0, 1.5), -500.0, DomainError,
+            "Maxwell-Boltzmann occupancy overflows double precision at u = -500.0 "
+            "(sharpness*(cutoff - u) = 765.0)",
+        ),
+        (
+            DistributionSpec.bose_einstein(25.0, 2.0), 25.000000000000004, SingularityError,
+            "inner integral from u = 25.000000000000004 crosses the Bose-Einstein pole",
+        ),
+    ],
+    ids=["mb-400", "mb-negative", "be-pole"],
+)
+def test_closed_form_error_messages(spec, u, exc, message):
+    integrand = reduce_distribution(spec)
+    for fn in (integrand.inner, integrand.big_f):
+        with pytest.raises(exc) as info:
+            fn(u)
+        assert str(info.value) == message
+    if u >= 0.0:
+        with pytest.raises(exc) as info:
+            reduced_big_f(spec, u)
+        assert str(info.value) == message
+    if exc is SingularityError:
+        assert info.value.pole_location == spec.cutoff

@@ -336,3 +336,128 @@ def test_methods_disagree_when_transition_is_subgrid(fd_direct, fd_em):
     gap = abs(fd_direct.value - fd_em.value) / abs(fd_direct.value)
     assert gap > 0.5
     assert fd_direct.error_estimate < 1e-6
+
+
+# float.hex of value, error_estimate, series_sum, integral_value and
+# integral_error, then panels, big_f_evaluations and distribution_evaluations.
+# Every F value comes from a closed form and every panel is settled by the
+# first Gauss-Kronrod step, so these bits are the contract for any rewrite of
+# the F kernel or the quadrature.
+DIRECT_GOLDEN_BITS = {
+    ("fd", 25.0, 2.0): (
+        "-0x1.4bd140fa00000p-4", "0x1.dcf5eeab477abp-27",
+        "0x1.005299dfa62c3p+16", "0x1.0052ae9cba3bdp+16", "0x1.908130d4e2fd9p-31",
+        50, 1100, 1100,
+    ),
+    ("fd", 25.0, 0.8): (
+        "-0x1.11114fdc00000p-6", "0x1.f0b540e359a75p-27",
+        "0x1.0aef6898f9223p+16", "0x1.0aef6cdd3e61ap+16", "0x1.a1161a19b178ap-31",
+        88, 1936, 1936,
+    ),
+    ("fd", 400.0, 0.5): (
+        "-0x1.1110000000000p-6", "0x1.d97463997febcp-11",
+        "0x1.fce0979ef397ep+31", "0x1.fce0979efc206p+31", "0x1.8d8f767434fa3p-15",
+        500, 11000, 11000,
+    ),
+    ("fd", 5.3, 3.7): (
+        "0x1.47f0a2a142800p-4", "0x1.016a145cc1e61p-35",
+        "0x1.14c1fa46de74ep+7", "0x1.1498fc328a4c9p+7", "0x1.b02f0a0ef817ap-40",
+        20, 439, 439,
+    ),
+    ("mb", 10.0, 1.5): (
+        "-0x1.65d178d982300p+15", "0x1.22e2f8792a9bbp-21",
+        "0x1.35b534909c10ep+21", "0x1.3b4c7a740219ap+21", "0x1.eca77f5543481p-26",
+        44, 968, 968,
+    ),
+    ("mb", 30.0, 0.5): (
+        "-0x1.a151451af6000p+15", "0x1.733a37e563a67p-15",
+        "0x1.8ef2b5e680f91p+27", "0x1.8f0ccafad2a87p+27", "0x1.37c1fe93f493cp-19",
+        130, 2860, 2860,
+    ),
+    ("sharp", 50.0, None): (
+        "-0x1.a0aaaaaaaa800p+8", "0x1.d921a55313358p-23",
+        "0x1.fc6c400000000p+19", "0x1.fca0555555555p+19", "0x1.8d5d42aaaaaa7p-27",
+        50, 1100, 1100,
+    ),
+    ("sharp", 52.37, None): (
+        "0x1.7094774320000p+7", "0x1.1cc88b4ee8062p-22",
+        "0x1.321d233333332p+20", "0x1.32119e8f791a2p+20", "0x1.de3b87c02d38ap-27",
+        54, 1187, 1187,
+    ),
+    ("synthetic", None, 80): (
+        "-0x1.0bb81218ba800p-8", "0x1.e02100e9c5310p-39",
+        "0x1.ffde88fdbce6bp+3", "0x1.fffffffffffe0p+3", "0x1.8ffffffffffe8p-43",
+        80, 1760, 0,
+    ),
+}
+
+
+def _direct_bits(result):
+    d = result.diagnostics
+    return (
+        result.value.hex(), result.error_estimate.hex(),
+        d["series_sum"].hex(), d["integral_value"].hex(), d["integral_error"].hex(),
+        d["panels"], d["big_f_evaluations"], d["distribution_evaluations"],
+    )
+
+
+@pytest.mark.parametrize("case", list(DIRECT_GOLDEN_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_direct_golden_bits(case):
+    family, lam, b = case
+    if family == "synthetic":
+        # here the third entry is n_max
+        integrand = ReducedIntegrand.from_function(lambda u: u * u * math.exp(-0.5 * u))
+        result = bracket_direct(integrand, n_max=b)
+    else:
+        result = bracket_direct(reduce_distribution(DistributionSpec(Family(family), lam, b)))
+    assert _direct_bits(result) == DIRECT_GOLDEN_BITS[case]
+
+
+def test_direct_bose_einstein_error_is_pinned():
+    with pytest.raises(SingularityError) as info:
+        bracket_direct(reduce_distribution(DistributionSpec.bose_einstein(25.0, 2.0)))
+    assert type(info.value) is SingularityError
+    assert str(info.value) == "inner integral from u = 1.0 crosses the Bose-Einstein pole"
+
+
+def sharp_exact_bracket(lam: float) -> Fraction:
+    """sum_{m < lam} 2 m^2 (lam - m) - lam^4 / 6, exactly."""
+    x = Fraction(lam)
+    return sum(2 * m * m * (x - m) for m in range(1, math.ceil(x))) - x**4 / 6
+
+
+@pytest.mark.parametrize("n", [5, 10, 50, 91, 99])
+def test_direct_sharp_cutoff_just_above_an_integer(n):
+    # the knee panel [n, lam] is a sliver whose F values are rounding noise;
+    # it must settle without bisection instead of raising a roundoff error
+    for k in range(1, 13):
+        for digit in (1, 3):
+            lam = n + digit * 10.0**-k
+            result = bracket_direct(reduce_distribution(DistributionSpec.sharp(lam)))
+            error = abs(Fraction(result.value) - sharp_exact_bracket(lam))
+            assert error <= result.error_estimate, (lam, float(error), result.error_estimate)
+
+
+def test_span_on_big_f_sees_every_evaluation(monkeypatch):
+    # a wrapper installed on the class, as a profiler would install it, must
+    # see every F evaluation an engine reports
+    calls = []
+    original = ReducedIntegrand.big_f
+
+    def traced(self, u):
+        calls.append(u)
+        return original(self, u)
+
+    monkeypatch.setattr(ReducedIntegrand, "big_f", traced)
+    specs = [
+        DistributionSpec.fermi_dirac(25.0, 2.0),
+        DistributionSpec.maxwell_boltzmann(10.0, 1.5),
+        DistributionSpec.sharp(12.5),
+    ]
+    for spec in specs:
+        for engine in (bracket_direct, bracket_euler_maclaurin):
+            calls.clear()
+            result = engine(reduce_distribution(spec))
+            # bracket_direct's tail bound evaluates F once after its snapshot
+            extra = 1 if engine is bracket_direct else 0
+            assert len(calls) == result.diagnostics["big_f_evaluations"] + extra, (spec, engine)
